@@ -32,7 +32,13 @@ from .signals import NormalizationStats
 MAGIC = b"FLDCKPT\0"
 VERSION = 1
 
-MODEL_KINDS = ("fld", "pae", "vae", "ff")
+# model kind -> (config class, model class); PAE is FLD trained with horizon 0
+MODEL_KINDS = {
+    "fld": (FLDConfig, FLDModel),
+    "pae": (FLDConfig, FLDModel),
+    "vae": (VAEConfig, VAEBaseline),
+    "ff": (FFConfig, FFBaseline),
+}
 
 
 @dataclass
@@ -125,16 +131,9 @@ def build_model(checkpoint: ModelCheckpoint):
     The checkpoint's array directory must match the architecture exactly;
     unknown or missing names are rejected.
     """
-    kind = checkpoint.model_kind
-    rng = np.random.default_rng(0)  # shapes only; values are overwritten
-    if kind in ("fld", "pae"):
-        model = FLDModel(FLDConfig.from_dict(checkpoint.config), rng)
-    elif kind == "vae":
-        model = VAEBaseline(VAEConfig.from_dict(checkpoint.config), rng)
-    elif kind == "ff":
-        model = FFBaseline(FFConfig.from_dict(checkpoint.config), rng)
-    else:  # pragma: no cover - guarded in ModelCheckpoint
-        raise ValueError(f"unknown model kind {kind!r}")
+    config_cls, model_cls = MODEL_KINDS[checkpoint.model_kind]
+    # shapes only; values are overwritten
+    model = model_cls(config_cls.from_dict(checkpoint.config), np.random.default_rng(0))
     targets = model.state_arrays()
     unknown = set(checkpoint.arrays) - set(targets)
     missing = set(targets) - set(checkpoint.arrays)
@@ -147,3 +146,10 @@ def build_model(checkpoint: ModelCheckpoint):
             raise ValueError(f"array {name}: shape {arr.shape} != expected {targets[name].shape}")
         targets[name][...] = arr
     return model
+
+
+def build_fld_model(checkpoint: ModelCheckpoint, purpose: str) -> FLDModel:
+    """:func:`build_model` for the entry points that need latent dynamics."""
+    if MODEL_KINDS[checkpoint.model_kind][1] is not FLDModel:
+        raise ValueError(f"{purpose} needs an fld or pae checkpoint")
+    return build_model(checkpoint)

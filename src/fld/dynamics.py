@@ -6,8 +6,8 @@ of horizon + 1 entries (so every prediction step 0..N has ground truth).
 Each step it either re-encodes the latent state from fresh input (accepted),
 or falls back to propagating the latent dynamics (rejected / no input).
 The emitted tracking frame is always decoded from the state that results,
-so under rejection the emitted stream is exactly the synthesis rollout of
-the propagated state.
+so under rejection the emitted stream is the synthesis rollout of the
+propagated state, to rounding.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checkpoint import ModelCheckpoint, build_model
+from .checkpoint import ModelCheckpoint, build_fld_model
 from .model import FLDModel, wrap_phase
 from .signals import Trajectory, segment_view
 from .stats import quantile_midpoint
@@ -76,13 +76,12 @@ def synthesize(checkpoint: ModelCheckpoint, state: LatentRollState,
     frame (denormalized), then propagate; repeated ``steps`` times.
 
     The parameterization is constant along the roll, so all steps are
-    decoded as one batch; per-step decoding gives bit-identical output.
+    decoded as one batch. Per-step decoding agrees to rounding (about 1e-15),
+    not bitwise: batches of different sizes take different BLAS kernels.
     """
     if steps <= 0:
         raise ValueError("steps must be positive")
-    if checkpoint.model_kind not in ("fld", "pae"):
-        raise ValueError("synthesis needs an fld or pae checkpoint")
-    model = build_model(checkpoint)
+    model = build_fld_model(checkpoint, "synthesis")
     dt = model.config.dt
     phis = wrap_phase(state.phi[None, :] + np.arange(steps)[:, None] * (state.freq * dt)[None, :])
     zhat, _ = model.reconstruct_latent(phis, np.tile(state.freq, (steps, 1)),
@@ -155,9 +154,6 @@ class GateConfig:
     quantile: float = 0.99
     corpus_hash: str = ""
     anchor_count: int = 0
-    # overrides for the gate loss; None reuses the training values
-    alpha: float | None = None
-    horizon: int | None = None
 
     def __post_init__(self):
         if self.epsilon <= 0:
@@ -165,8 +161,7 @@ class GateConfig:
 
     def to_dict(self) -> dict:
         return {"epsilon": self.epsilon, "quantile": self.quantile,
-                "corpus_hash": self.corpus_hash, "anchor_count": self.anchor_count,
-                "alpha": self.alpha, "horizon": self.horizon}
+                "corpus_hash": self.corpus_hash, "anchor_count": self.anchor_count}
 
     @classmethod
     def from_dict(cls, data: dict) -> "GateConfig":
@@ -182,29 +177,22 @@ class GateDecision:
     target_frame: np.ndarray          # denormalized (d,)
 
 
-def anchored_gate_loss(model: FLDModel, segments: np.ndarray,
-                       alpha: float | None = None,
-                       horizon: int | None = None) -> float:
+def anchored_gate_loss(model: FLDModel, segments: np.ndarray) -> float:
     """Propagation loss of the earliest segment's encoding scored against
     the whole stack: the exact training loss with the earliest segment as
     anchor (shared code path)."""
     total, _ = model.loss_and_grads(segments[None], mode="eval", want_grads=False,
-                                    alpha=alpha, horizon=horizon,
                                     anchor=segments[None, 0])
     return total
 
 
 def calibrate_threshold(checkpoint: ModelCheckpoint, corpus: list[Trajectory],
-                        quantile: float = 0.99, anchor_stride: int = 5,
-                        alpha: float | None = None, horizon: int | None = None
-                        ) -> GateConfig:
+                        quantile: float = 0.99, anchor_stride: int = 5) -> GateConfig:
     """Gate threshold: the given quantile (midpoint convention) of the
     per-anchor propagation loss over the training corpus."""
-    if checkpoint.model_kind not in ("fld", "pae"):
-        raise ValueError("gate calibration needs an fld or pae checkpoint")
-    model = build_model(checkpoint)
+    model = build_fld_model(checkpoint, "gate calibration")
     cfg = model.config
-    n = cfg.horizon if horizon is None else horizon
+    n = cfg.horizon
     losses = []
     hasher = hashlib.sha256()
     for traj in corpus:
@@ -214,14 +202,13 @@ def calibrate_threshold(checkpoint: ModelCheckpoint, corpus: list[Trajectory],
         hasher.update(np.ascontiguousarray(traj.frames).tobytes())
         view = segment_view(frames, cfg.window)
         for wi in range(0, view.shape[0] - n, anchor_stride):
-            losses.append(anchored_gate_loss(model, view[wi:wi + n + 1],
-                                             alpha=alpha, horizon=horizon))
+            losses.append(anchored_gate_loss(model, view[wi:wi + n + 1]))
     if not losses:
         raise ValueError("corpus has no anchor long enough to calibrate the gate")
     eps = quantile_midpoint(np.array(losses), quantile)
     return GateConfig(epsilon=eps, quantile=quantile,
                       corpus_hash=hasher.hexdigest()[:16],
-                      anchor_count=len(losses), alpha=alpha, horizon=horizon)
+                      anchor_count=len(losses))
 
 
 def gate_step(buffer: InputBuffer, state: LatentRollState, gate: GateConfig,
@@ -242,8 +229,7 @@ def gate_step(buffer: InputBuffer, state: LatentRollState, gate: GateConfig,
         verdict, loss = "no_input", None
     else:
         segments = buffer.stacked()
-        loss = anchored_gate_loss(model, segments, alpha=gate.alpha,
-                                  horizon=gate.horizon)
+        loss = anchored_gate_loss(model, segments)
         if loss <= gate.epsilon:
             new_state = encode_state(model, segments[-1])
             new_state.step = state.step + 1
@@ -264,14 +250,11 @@ class GateRunner:
 
     def __init__(self, checkpoint: ModelCheckpoint, gate: GateConfig,
                  initial_state: LatentRollState | None = None):
-        if checkpoint.model_kind not in ("fld", "pae"):
-            raise ValueError("the gate needs an fld or pae checkpoint")
-        self.model = build_model(checkpoint)
+        self.model = build_fld_model(checkpoint, "the gate")
         self.normalization = checkpoint.normalization
         self.gate = gate
         cfg = self.model.config
-        horizon = cfg.horizon if gate.horizon is None else gate.horizon
-        self.buffer = InputBuffer(horizon + 1)
+        self.buffer = InputBuffer(cfg.horizon + 1)
         self._frames: deque[np.ndarray] = deque(maxlen=cfg.window)
         if initial_state is None:
             c = cfg.channels

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .numerics import (
-    Adam,
     BatchNorm1d,
     Conv1d,
     Linear,
@@ -375,6 +374,17 @@ class FLDModel:
             self.encode_backward(dz, enc_cache)
         return total, per_horizon
 
+    @property
+    def item_horizon(self) -> int:
+        """Future segments per training item."""
+        return self.config.horizon
+
+    def train_loss(self, items: np.ndarray, rng: np.random.Generator
+                   ) -> tuple[float, dict[str, np.ndarray]]:
+        """One training step's loss and gradients, plus its logged extras."""
+        total, per_horizon = self.loss_and_grads(items, mode="train")
+        return total, {"per_horizon": per_horizon}
+
 
 def representation_param_count(model_kind: str, d: int, c: int, h: int, traj_len: int) -> int:
     """Number of coefficients each representation needs for one trajectory."""
@@ -511,6 +521,13 @@ class VAEBaseline:
                 gh = self.enc[i].backward(gh, c_lin)
         return total, mse, kl
 
+    item_horizon = 0  # training items carry the segment alone
+
+    def train_loss(self, items: np.ndarray, rng: np.random.Generator
+                   ) -> tuple[float, dict[str, float]]:
+        total, mse, kl = self.loss_and_grads(items[:, 0], rng=rng)
+        return total, {"mse": mse, "kl": kl}
+
 
 @dataclass
 class FFConfig:
@@ -562,11 +579,20 @@ class FFBaseline:
             caches.append((c_lin, c_act))
         return h.reshape(x.shape), caches
 
-    def predict(self, segments: np.ndarray, steps: int) -> np.ndarray:
-        """``steps``-fold composition of the one-step predictor."""
-        out = np.asarray(segments, dtype=np.float64)
-        for _ in range(steps):
-            out, _ = self.forward(out)
+    def predict(self, segments: np.ndarray, horizons: np.ndarray | list[int]) -> np.ndarray:
+        """Composed one-step predictions for each step in ``horizons``.
+
+        Returns (B, n_horizons, d, H); horizon 0 is the input itself.
+        """
+        horizons = np.asarray(horizons)
+        if np.any(horizons < 0):
+            raise ValueError("horizons must be >= 0")
+        current = np.asarray(segments, dtype=np.float64)
+        out = np.empty((current.shape[0], horizons.size) + current.shape[1:])
+        for step in range(int(horizons.max()) + 1):
+            if step:
+                current, _ = self.forward(current)
+            out[:, horizons == step] = current[:, None]
         return out
 
     def loss_and_grads(self, segments: np.ndarray, targets: np.ndarray,
@@ -582,3 +608,9 @@ class FFBaseline:
                     g = elu_backward(g, c_act)
                 g = self.layers[i].backward(g, c_lin)
         return loss
+
+    item_horizon = 1  # training items carry the segment and its successor
+
+    def train_loss(self, items: np.ndarray, rng: np.random.Generator
+                   ) -> tuple[float, dict]:
+        return self.loss_and_grads(items[:, 0], items[:, 1]), {}

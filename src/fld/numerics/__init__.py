@@ -1,8 +1,8 @@
 """Minimal differentiable-computation toolkit: float64 layers with
-hand-derived backward passes, a real FFT with its adjoint, Adam, and a
+hand-derived backward passes, a real FFT with its backward rule, Adam, and a
 finite-difference gradient checker."""
 
-from .fourier import naive_dft, rfft, rfft_adjoint, rfft_backward, spectrum_inner
+from .fourier import rfft, rfft_backward
 from .gradcheck import gradient_check
 from .layers import (
     BatchNorm1d,
@@ -35,13 +35,10 @@ __all__ = [
     "elu_backward",
     "ensure_finite",
     "gradient_check",
-    "naive_dft",
     "relu",
     "relu_backward",
     "rfft",
-    "rfft_adjoint",
     "rfft_backward",
     "softplus",
     "softplus_backward",
-    "spectrum_inner",
 ]

@@ -1,17 +1,13 @@
-"""Real discrete Fourier transform with hand-derived reverse-mode rules.
+"""Real discrete Fourier transform with its hand-derived reverse-mode rule.
 
 Everything here works on the half spectrum: bins 0..K with K = floor(H/2).
 The spectrum is stored as a complex128 array; callers that need separate
 real/imaginary planes take ``.real`` / ``.imag`` views.
 
-Two distinct "reverse" maps exist and are easy to conflate:
-
-* ``rfft_backward`` is the vector-Jacobian product used by backprop.  It
-  treats the stored bins as 2(K+1) independent real coordinates, so it is
-  the plain transpose of the forward map (no conjugate-bin doubling).
-* ``rfft_adjoint`` is the adjoint under the full-spectrum inner product,
-  where every bin strictly between 0 and H/2 counts twice (its conjugate
-  mirror is implicit).  Under that inner product adjoint(rfft(x)) == H*x.
+``rfft_backward`` is the vector-Jacobian product used by backprop. It treats
+the stored bins as 2(K+1) independent real coordinates, so it is the plain
+transpose of the forward map (no conjugate-bin doubling), not the adjoint
+under the full-spectrum inner product.
 """
 
 from __future__ import annotations
@@ -33,62 +29,12 @@ def rfft(signal: np.ndarray) -> np.ndarray:
     return scipy.fft.rfft(np.asarray(signal, dtype=np.float64), axis=-1, workers=_FFT_WORKERS)
 
 
-def naive_dft(signal: np.ndarray) -> np.ndarray:
-    """O(H^2) half-spectrum DFT. Correctness baseline for the fast path."""
-    signal = np.asarray(signal, dtype=np.float64)
-    h = signal.shape[-1]
-    if h < 2:
-        raise ValueError(f"signal length must be >= 2, got {h}")
-    t = np.arange(h)
-    j = np.arange(h // 2 + 1)
-    basis = np.exp(-2j * np.pi * np.outer(j, t) / h)  # (K+1, H)
-    return signal @ basis.T
-
-
-def _synthesis(grad_real: np.ndarray, grad_imag: np.ndarray, h: int,
-               weights: np.ndarray | None) -> np.ndarray:
+def rfft_backward(grad_real: np.ndarray, grad_imag: np.ndarray, h: int) -> np.ndarray:
+    """VJP of :func:`rfft`: transpose of the real-linear map onto stored bins."""
     grad_real = np.asarray(grad_real, dtype=np.float64)
     grad_imag = np.asarray(grad_imag, dtype=np.float64)
     k = h // 2
     if grad_real.shape[-1] != k + 1 or grad_imag.shape[-1] != k + 1:
         raise ValueError(f"expected {k + 1} bins for signal length {h}")
-    t = np.arange(h)
-    j = np.arange(k + 1)
-    angles = 2.0 * np.pi * np.outer(j, t) / h  # (K+1, H)
-    cos_m = np.cos(angles)
-    sin_m = np.sin(angles)
-    if weights is not None:
-        cos_m = cos_m * weights[:, None]
-        sin_m = sin_m * weights[:, None]
-    return grad_real @ cos_m - grad_imag @ sin_m
-
-
-def rfft_backward(grad_real: np.ndarray, grad_imag: np.ndarray, h: int) -> np.ndarray:
-    """VJP of :func:`rfft`: transpose of the real-linear map onto stored bins."""
-    return _synthesis(grad_real, grad_imag, h, weights=None)
-
-
-def _full_spectrum_weights(h: int) -> np.ndarray:
-    k = h // 2
-    weights = np.full(k + 1, 2.0)
-    weights[0] = 1.0
-    if h % 2 == 0:
-        weights[k] = 1.0
-    return weights
-
-
-def rfft_adjoint(spectrum: np.ndarray, h: int) -> np.ndarray:
-    """Adjoint of :func:`rfft` under the conjugate-symmetric inner product.
-
-    Satisfies <rfft(x), y>_spec == <x, rfft_adjoint(y)> with
-    <u, v>_spec = sum_j w_j (Re u_j Re v_j + Im u_j Im v_j), w_j = 2 except
-    w_0 = 1 and (even H) w_{H/2} = 1.  Composed with rfft it is H * identity.
-    """
-    spectrum = np.asarray(spectrum)
-    return _synthesis(spectrum.real, spectrum.imag, h, weights=_full_spectrum_weights(h))
-
-
-def spectrum_inner(u: np.ndarray, v: np.ndarray, h: int) -> float:
-    """Inner product on half spectra under which :func:`rfft_adjoint` is the adjoint."""
-    w = _full_spectrum_weights(h)
-    return float(np.sum(w * (u.real * v.real + u.imag * v.imag)))
+    angles = 2.0 * np.pi * np.outer(np.arange(k + 1), np.arange(h)) / h  # (K+1, H)
+    return grad_real @ np.cos(angles) - grad_imag @ np.sin(angles)

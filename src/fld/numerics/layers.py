@@ -12,9 +12,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.fft
 
-from .fourier import rfft_backward
-
-_FFT_WORKERS = -1
+from .fourier import _FFT_WORKERS
 
 
 def ensure_finite(arr: np.ndarray, what: str) -> np.ndarray:

@@ -16,15 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-# Default 27-dim state layout: index ranges per named group.
-STATE_LAYOUT_27 = {
-    "base_linear_velocity": (0, 3),
-    "base_angular_velocity": (3, 6),
-    "projected_gravity": (6, 9),
-    "joint_positions": (9, 27),
-}
-
-# Coarser grouping used by evaluation reports.
+# Default 27-dim state layout (base velocities, projected gravity, joint
+# positions): index ranges per group used by evaluation reports.
 EVAL_GROUPS_27 = {
     "velocities": (0, 6),
     "gravity": (6, 9),
@@ -104,13 +97,6 @@ class NormalizationStats:
     def invert(self, frames: np.ndarray) -> np.ndarray:
         return np.asarray(frames, dtype=np.float64) * self.std + self.mean
 
-    def apply_segment(self, segment: np.ndarray) -> np.ndarray:
-        # segment axes are (..., d, H); stats broadcast over the last axis
-        return (segment - self.mean[:, None]) / self.std[:, None]
-
-    def invert_segment(self, segment: np.ndarray) -> np.ndarray:
-        return segment * self.std[:, None] + self.mean[:, None]
-
     def to_dict(self) -> dict:
         return {"mean": self.mean.tolist(), "std": self.std.tolist()}
 
@@ -161,24 +147,6 @@ def window(trajectory: Trajectory, window_len: int, stride: int = 1
     view = segment_view(trajectory.frames, window_len)
     starts = np.arange(0, view.shape[0], stride)
     return view[starts].copy(), starts + window_len - 1
-
-
-def window_with_future(trajectory: Trajectory, window_len: int, horizon: int
-                       ) -> tuple[np.ndarray, np.ndarray]:
-    """Training items: each anchor segment with its ``horizon`` successors.
-
-    Returns (items (n, horizon+1, d, H), anchor frame indices (n,)); item k,
-    slot i is the segment ending at frame k + H - 1 + i.
-    """
-    if horizon < 0:
-        raise ValueError("horizon must be >= 0")
-    if len(trajectory) < window_len + horizon:
-        raise ValueError(f"trajectory of {len(trajectory)} frames cannot supply "
-                         f"window {window_len} plus horizon {horizon}")
-    view = segment_view(trajectory.frames, window_len)
-    n = len(trajectory) - window_len - horizon + 1
-    starts = np.arange(n)[:, None] + np.arange(horizon + 1)[None, :]
-    return view[starts], np.arange(n) + window_len - 1
 
 
 @dataclass

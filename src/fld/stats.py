@@ -1,6 +1,5 @@
-"""Small statistics helpers shared across modules: an empirical quantile
-with the midpoint convention, rank correlations for trend tests, and a
-2-component PCA for manifold exports."""
+"""Small statistics helpers: an empirical quantile with the midpoint
+convention for gate calibration, and a 2-component PCA for manifold exports."""
 
 from __future__ import annotations
 
@@ -25,50 +24,6 @@ def quantile_midpoint(values: np.ndarray, q: float) -> float:
     if abs(h - lo) < 1e-12 and lo < n:
         return float(0.5 * (x[lo - 1] + x[lo]))
     return float(x[min(int(np.ceil(h - 1e-12)), n) - 1])
-
-
-def kendall_tau(x: np.ndarray, y: np.ndarray) -> float:
-    """Kendall's tau-a over all pairs (ties contribute zero)."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    n = x.size
-    if n != y.size or n < 2:
-        raise ValueError("need two equal-length series with n >= 2")
-    sx = np.sign(x[:, None] - x[None, :])
-    sy = np.sign(y[:, None] - y[None, :])
-    iu = np.triu_indices(n, k=1)
-    return float(np.sum(sx[iu] * sy[iu]) / (n * (n - 1) / 2))
-
-
-def _ranks(x: np.ndarray) -> np.ndarray:
-    # average ranks for ties
-    order = np.argsort(x, kind="stable")
-    ranks = np.empty(x.size)
-    sorted_x = x[order]
-    i = 0
-    while i < x.size:
-        j = i
-        while j + 1 < x.size and sorted_x[j + 1] == sorted_x[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
-
-
-def spearman_rho(x: np.ndarray, y: np.ndarray) -> float:
-    """Spearman rank correlation (Pearson correlation of average ranks)."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.size != y.size or x.size < 2:
-        raise ValueError("need two equal-length series with n >= 2")
-    rx = _ranks(x)
-    ry = _ranks(y)
-    rx -= rx.mean()
-    ry -= ry.mean()
-    denom = np.sqrt(np.sum(rx * rx) * np.sum(ry * ry))
-    if denom == 0.0:
-        return 0.0
-    return float(np.sum(rx * ry) / denom)
 
 
 def pca_project_2d(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

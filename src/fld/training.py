@@ -14,8 +14,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .checkpoint import ModelCheckpoint, build_model, checkpoint_from_model
-from .model import FFBaseline, FFConfig, FLDConfig, FLDModel, VAEBaseline, VAEConfig
+from .checkpoint import (
+    MODEL_KINDS,
+    ModelCheckpoint,
+    build_fld_model,
+    build_model,
+    checkpoint_from_model,
+)
+from .model import FLDModel
 from .numerics import Adam
 from .signals import (
     EVAL_GROUPS_27,
@@ -83,31 +89,24 @@ class _ItemPool:
         return out
 
 
-def _default_model_config(model_kind: str, dims: int, dt: float):
-    if model_kind in ("fld", "pae"):
-        return FLDConfig(dims=dims, dt=dt)
-    if model_kind == "vae":
-        return VAEConfig(dims=dims, dt=dt)
-    if model_kind == "ff":
-        return FFConfig(dims=dims, dt=dt)
-    raise ValueError(f"unknown model kind {model_kind!r}")
-
-
 def train(model_kind: str, corpus: list[Trajectory], train_config: TrainConfig,
           model_config=None, normalization: NormalizationStats | None = None
           ) -> TrainResult:
     """Train one model kind on a corpus; deterministic given the seed.
 
-    Returns the checkpoint plus a loss history with one row per iteration
-    ("loss" for every kind; additionally "per_horizon" (N+1 columns) for
-    fld/pae and "mse"/"kl" for vae).
+    Returns the checkpoint plus a loss history with one row per iteration:
+    "loss", and the per-iteration mean of every extra the model's
+    ``train_loss`` reports ("per_horizon" for FLD, "mse"/"kl" for the VAE).
     """
     if not corpus:
         raise ValueError("empty corpus")
+    if model_kind not in MODEL_KINDS:
+        raise ValueError(f"unknown model kind {model_kind!r}")
+    config_cls, model_cls = MODEL_KINDS[model_kind]
     dims = corpus[0].dims
     dt = corpus[0].dt
     if model_config is None:
-        model_config = _default_model_config(model_kind, dims, dt)
+        model_config = config_cls(dims=dims, dt=dt)
     if model_config.dims != dims:
         raise ValueError(f"model config dims {model_config.dims} != corpus dims {dims}")
 
@@ -117,18 +116,8 @@ def train(model_kind: str, corpus: list[Trajectory], train_config: TrainConfig,
     rng = np.random.default_rng(train_config.seed)
     stats = normalization if normalization is not None else fit_normalization(corpus)
     frames = [stats.apply(t.frames) for t in corpus]
-
-    if model_kind in ("fld", "pae"):
-        model = FLDModel(model_config, rng)
-        pool = _ItemPool(frames, model_config.window, model_config.horizon)
-    elif model_kind == "vae":
-        model = VAEBaseline(model_config, rng)
-        pool = _ItemPool(frames, model_config.window, 0)
-    elif model_kind == "ff":
-        model = FFBaseline(model_config, rng)
-        pool = _ItemPool(frames, model_config.window, 1)
-    else:
-        raise ValueError(f"unknown model kind {model_kind!r}")
+    model = model_cls(model_config, rng)
+    pool = _ItemPool(frames, model_config.window, model.item_horizon)
 
     opt = Adam(model.parameters(), lr=train_config.lr,
                weight_decay=train_config.weight_decay)
@@ -146,15 +135,7 @@ def train(model_kind: str, corpus: list[Trajectory], train_config: TrainConfig,
                 items = pool.gather(pool_ids[chunk])
                 opt.zero_grad()
                 try:
-                    if model_kind in ("fld", "pae"):
-                        total, per_h = model.loss_and_grads(items, mode="train")
-                        iter_extras.setdefault("per_horizon", []).append(per_h)
-                    elif model_kind == "vae":
-                        total, mse, kl = model.loss_and_grads(items[:, 0], rng=rng)
-                        iter_extras.setdefault("mse", []).append(mse)
-                        iter_extras.setdefault("kl", []).append(kl)
-                    else:
-                        total = model.loss_and_grads(items[:, 0], items[:, 1])
+                    total, step_extras = model.train_loss(items, rng)
                 except FloatingPointError as exc:
                     raise RuntimeError(
                         f"{model_kind} training diverged at iteration {iteration}: "
@@ -165,6 +146,8 @@ def train(model_kind: str, corpus: list[Trajectory], train_config: TrainConfig,
                         f"(loss {total}); lower the learning rate")
                 opt.step()
                 iter_losses.append(total)
+                for key, val in step_extras.items():
+                    iter_extras.setdefault(key, []).append(val)
         losses.append(float(np.mean(iter_losses)))
         for key, vals in iter_extras.items():
             extras.setdefault(key, []).append(np.mean(vals, axis=0))
@@ -223,6 +206,9 @@ def evaluate_prediction(checkpoints: dict[str, ModelCheckpoint],
     n_anchor_out = 0
     for name, ckpt in checkpoints.items():
         model = build_model(ckpt)
+        if not hasattr(model, "predict"):
+            raise ValueError(f"model kind {ckpt.model_kind!r} has no forward-"
+                             f"prediction path")
         cfg = model.config
         if len(trajectory) < cfg.window + max_h:
             raise ValueError(f"trajectory of {len(trajectory)} frames too short for "
@@ -240,20 +226,7 @@ def evaluate_prediction(checkpoints: dict[str, ModelCheckpoint],
         for start in range(0, len(anchor_ids), chunk):
             ids = anchor_ids[start:start + chunk]
             targets = view[ids[:, None] + horizons[None, :]]  # (b, n_h, d, H)
-            if ckpt.model_kind in ("fld", "pae"):
-                preds = model.predict(view[ids], horizons, mode="eval")
-            elif ckpt.model_kind == "ff":
-                preds = np.empty_like(targets)
-                current = view[ids].copy()
-                step = 0
-                for hi, h in enumerate(horizons):
-                    while step < h:
-                        current, _ = model.forward(current)
-                        step += 1
-                    preds[:, hi] = current
-            else:
-                raise ValueError(f"model kind {ckpt.model_kind!r} has no forward-"
-                                 f"prediction path")
+            preds = model.predict(view[ids], horizons)
             acc += relative_error(preds, targets).sum(axis=0)
             for g, (lo, hi) in grp.items():
                 acc_group[g] += relative_error(preds, targets, rows=slice(lo, hi)).sum(axis=0)
@@ -294,9 +267,7 @@ class ManifoldPoint:
 def export_latent_manifold(checkpoint: ModelCheckpoint, corpus: list[Trajectory],
                            anchor_stride: int = 1) -> list[ManifoldPoint]:
     """2D PCA of the phase features over every windowable frame of the corpus."""
-    if checkpoint.model_kind not in ("fld", "pae"):
-        raise ValueError("latent manifold export needs an fld or pae checkpoint")
-    model = build_model(checkpoint)
+    model = build_fld_model(checkpoint, "latent manifold export")
     feats = []
     meta = []
     for ti, traj in enumerate(corpus):
@@ -328,13 +299,11 @@ def quasi_constancy_report(checkpoint: ModelCheckpoint, corpus: list[Trajectory]
                            anchor_stride: int = 1) -> QuasiConstancyReport:
     """How constant the latent parameterization stays along trajectories,
     relative to its spread across the corpus. Lower is more constant."""
-    if checkpoint.model_kind not in ("fld", "pae"):
-        raise ValueError("quasi-constancy needs an fld or pae checkpoint")
-    usable = [t for t in corpus if len(t) >= FLDConfig.from_dict(checkpoint.config).window]
+    model = build_fld_model(checkpoint, "quasi-constancy")
+    cfg = model.config
+    usable = [t for t in corpus if len(t) >= cfg.window]
     if len(usable) < 2:
         raise ValueError("need at least two windowable trajectories")
-    model = build_model(checkpoint)
-    cfg = model.config
     per_traj_std: dict[str, list[np.ndarray]] = {"f": [], "a": [], "b": []}
     per_traj_mean: dict[str, list[np.ndarray]] = {"f": [], "a": [], "b": []}
     for traj in usable:

@@ -1,0 +1,97 @@
+import numpy as np
+import pytest
+
+from fld.checkpoint import build_model
+from fld.dynamics import (
+    GateConfig,
+    GateRunner,
+    anchored_gate_loss,
+    calibrate_threshold,
+    decode_state_frame,
+    encode_state,
+    propagate,
+    synthesize,
+)
+from fld.model import FLDConfig, VAEConfig
+from fld.signals import SyntheticMotionSpec, generate_synthetic, segment_view
+from fld.stats import quantile_midpoint
+from fld.training import TrainConfig, export_latent_manifold, quasi_constancy_report, train
+
+TINY = dict(dims=3, channels=2, window=16, horizon=3, dt=0.02, hidden=8)
+
+
+def corpus(n_traj=2, frames=120, freq=1.5, seed=0):
+    rng = np.random.default_rng(seed)
+    return [generate_synthetic(SyntheticMotionSpec(
+        base_frequency=freq + 0.4 * i, amplitudes=rng.uniform(0.5, 1.5, 3),
+        phase_offsets=rng.uniform(0, 1, 3), means=rng.normal(scale=0.3, size=3),
+        frames=frames, dt=0.02, seed=seed + i)) for i in range(n_traj)]
+
+
+def train_config():
+    return TrainConfig(max_iterations=5, lr=2e-3, epochs=1, mini_batches=1,
+                       batch_size=8, seed=1)
+
+
+@pytest.fixture(scope="module")
+def fld_checkpoint():
+    return train("fld", corpus(), train_config(), FLDConfig(**TINY)).checkpoint
+
+
+@pytest.fixture(scope="module")
+def vae_checkpoint():
+    return train("vae", corpus(), train_config(),
+                 VAEConfig(dims=3, window=16, latent=2, hidden=(16, 8))).checkpoint
+
+
+@pytest.mark.parametrize("entry, message", [
+    (lambda ck: export_latent_manifold(ck, corpus()), "latent manifold export"),
+    (lambda ck: quasi_constancy_report(ck, corpus()), "quasi-constancy"),
+    (lambda ck: synthesize(ck, None, 3), "synthesis"),
+    (lambda ck: calibrate_threshold(ck, corpus()), "gate calibration"),
+    (lambda ck: GateRunner(ck, GateConfig(epsilon=1.0)), "the gate"),
+])
+def test_fld_only_entry_points_reject_vae(vae_checkpoint, entry, message):
+    with pytest.raises(ValueError, match=f"^{message} needs an fld or pae checkpoint$"):
+        entry(vae_checkpoint)
+
+
+def test_calibrated_epsilon_is_quantile_of_strided_anchor_losses(fld_checkpoint):
+    data = corpus(frames=90)
+    gate = calibrate_threshold(fld_checkpoint, data, quantile=0.9, anchor_stride=4)
+    model = build_model(fld_checkpoint)
+    n, window = model.config.horizon, model.config.window
+    losses = []
+    for traj in data:
+        view = segment_view(fld_checkpoint.normalization.apply(traj.frames), window)
+        losses += [anchored_gate_loss(model, view[wi:wi + n + 1])
+                   for wi in range(0, view.shape[0] - n, 4)]
+    assert gate.anchor_count == len(losses)
+    assert gate.epsilon == quantile_midpoint(np.array(losses), 0.9)
+
+
+def test_runner_emits_no_input_during_warm_up_and_after_gap(fld_checkpoint):
+    runner = GateRunner(fld_checkpoint, GateConfig(epsilon=1e9))
+    window, capacity = runner.model.config.window, runner.buffer.capacity
+    frames = corpus(1)[0].frames
+    # a full buffer needs window - 1 + capacity frames
+    warm = window - 1 + capacity
+    verdicts = [runner.step(f).verdict for f in frames[:warm]]
+    assert verdicts == ["no_input"] * (warm - 1) + ["accepted"]
+    assert runner.step(None).verdict == "no_input"
+    assert not runner.buffer.full
+    # after a gap the buffer refills from scratch before the gate scores again
+    verdicts = [runner.step(f).verdict for f in frames[warm:2 * warm]]
+    assert verdicts == ["no_input"] * (warm - 1) + ["accepted"]
+
+
+def test_synthesize_matches_iterated_propagation(fld_checkpoint):
+    model = build_model(fld_checkpoint)
+    segment = fld_checkpoint.normalization.apply(corpus(1)[0].frames[:16]).T
+    state = encode_state(model, segment)
+    rolled = synthesize(fld_checkpoint, state, 25).frames
+    iterated = []
+    for _ in range(25):
+        iterated.append(decode_state_frame(model, state, fld_checkpoint.normalization)[1])
+        state = propagate(state, model.config.dt)
+    assert np.max(np.abs(rolled - np.array(iterated))) < 1e-12

@@ -11,7 +11,8 @@ from fld.model import (
     representation_param_count,
     wrap_phase,
 )
-from fld.numerics import Adam, gradient_check, naive_dft
+from fld.numerics import Adam, gradient_check
+from fourier_oracles import naive_dft
 
 
 def dft_phase_oracle(curve, bin_index, window, dt, freq):
@@ -300,10 +301,11 @@ class TestFF:
     def test_composition_is_repeated_forward(self):
         ff = self.make(seed=2)
         x = np.random.default_rng(1).normal(size=(2, 3, 8))
-        manual = x
+        manual = [x]
         for _ in range(3):
-            manual, _ = ff.forward(manual)
-        assert np.array_equal(ff.predict(x, 3), manual)
+            manual.append(ff.forward(manual[-1])[0])
+        expected = np.stack([manual[3], manual[0], manual[1]], axis=1)
+        assert np.array_equal(ff.predict(x, [3, 0, 1]), expected)
 
     def test_identity_overfit_smoke(self):
         ff = self.make(seed=3)

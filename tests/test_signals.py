@@ -12,8 +12,8 @@ from fld.signals import (
     load_csv,
     split_corpus,
     window,
-    window_with_future,
 )
+from fld.training import _ItemPool
 
 
 class TestLoadCsv:
@@ -132,21 +132,26 @@ class TestWindowing:
         tail = np.array([s[0, -1] for s in segs])
         assert np.array_equal(tail, traj.frames[h - 1:, 0])
 
+    # training items: each anchor segment with its ``horizon`` successors
+    def items(self, traj, horizon):
+        pool = _ItemPool([traj.frames], 51, horizon)
+        return pool.gather(np.arange(len(pool))), pool.anchors[:, 1] + 51 - 1
+
     def test_with_future_boundary(self):
-        items, anchors = window_with_future(self.make(101), 51, 50)
+        items, anchors = self.items(self.make(101), 50)
         assert items.shape == (1, 51, 2, 51)
         assert anchors.tolist() == [50]
 
     def test_with_future_zero_horizon_matches_window(self):
         traj = self.make(60)
-        items, anchors = window_with_future(traj, 51, 0)
+        items, anchors = self.items(traj, 0)
         segs, wanchors = window(traj, 51)
         assert np.array_equal(items[:, 0], segs)
         assert np.array_equal(anchors, wanchors)
 
     def test_futures_match_index_oracle(self):
         traj = self.make(103)
-        items, anchors = window_with_future(traj, 51, 50)
+        items, anchors = self.items(traj, 50)
         assert items.shape[0] == 3
         for k in range(3):
             for i in range(51):
@@ -154,8 +159,8 @@ class TestWindowing:
                 assert np.array_equal(items[k, i], traj.frames[start:start + 51].T)
 
     def test_with_future_too_short(self):
-        with pytest.raises(ValueError):
-            window_with_future(self.make(100), 51, 50)
+        with pytest.raises(ValueError, match="long enough"):
+            self.items(self.make(100), 50)
 
 
 class TestSynthetic:

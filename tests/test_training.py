@@ -77,6 +77,10 @@ class TestTrain:
         with pytest.raises(ValueError, match="long enough"):
             train("fld", short, tiny_train_config(), FLDConfig(**TINY))
 
+    def test_unknown_model_kind_rejected(self):
+        with pytest.raises(ValueError, match="model kind"):
+            train("gru", tiny_corpus(1), tiny_train_config())
+
     def test_vae_and_ff_train(self):
         from fld.model import FFConfig, VAEConfig
         corpus = tiny_corpus(1)
