@@ -1,20 +1,25 @@
 """Latent propagation, autoregressive synthesis, parameterization
 interpolation, and the online tracking-target gate with fallback.
 
+Encoding and decoding go through ``FLDModel.analyze`` and
+``FLDModel.render``, the same maps the training loss uses.
+
 The gate consumes a stream of trajectory segments through an input buffer
 of horizon + 1 entries (so every prediction step 0..N has ground truth).
-Each step it either re-encodes the latent state from fresh input (accepted),
-or falls back to propagating the latent dynamics (rejected / no input).
-The emitted tracking frame is always decoded from the state that results,
-so under rejection the emitted stream is the synthesis rollout of the
-propagated state, to rounding.
+Each step ``gate_step`` receives the stacked full buffer, or None while the
+buffer is not full (warm-up, or after a gap in the input). With a full
+buffer it either re-encodes the latent state from fresh input (accepted)
+or falls back to propagating the latent dynamics (rejected); with None it
+always propagates (no input). The emitted tracking frame is always decoded
+from the state that results, so under fallback the emitted stream is the
+synthesis rollout of the propagated state, to rounding.
 """
 
 from __future__ import annotations
 
 import hashlib
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -40,10 +45,6 @@ class LatentRollState:
         self.amp = np.asarray(self.amp, dtype=np.float64)
         self.offset = np.asarray(self.offset, dtype=np.float64)
 
-    @property
-    def theta(self) -> np.ndarray:
-        return np.concatenate([self.freq, self.amp, self.offset])
-
 
 def propagate(state: LatentRollState, dt: float) -> LatentRollState:
     """One latent-dynamics step: theta unchanged, phi advanced by f*dt."""
@@ -54,8 +55,7 @@ def propagate(state: LatentRollState, dt: float) -> LatentRollState:
 
 def encode_state(model: FLDModel, segment: np.ndarray) -> LatentRollState:
     """Latent state and parameterization of one normalized segment."""
-    z, _ = model.encode(segment[None] if segment.ndim == 2 else segment, "eval")
-    phi, f, a, b, _ = model.parameterize(z, "eval")
+    phi, f, a, b, _ = model.analyze(segment)
     return LatentRollState(phi=phi[0], freq=f[0], amp=a[0], offset=b[0])
 
 
@@ -63,11 +63,9 @@ def decode_state_frame(model: FLDModel, state: LatentRollState,
                        normalization) -> tuple[np.ndarray, np.ndarray]:
     """Decode the segment for a latent state; returns (normalized segment
     (d, H), denormalized newest frame (d,))."""
-    zhat, _ = model.reconstruct_latent(state.phi[None], state.freq[None],
-                                       state.amp[None], state.offset[None])
-    seg, _ = model.decode(zhat[:, 0], "eval")
-    frame = normalization.invert(seg[0, :, -1])
-    return seg[0], frame
+    shat, _ = model.render(state.phi, state.freq, state.amp, state.offset, [0])
+    segment = shat[0, 0]
+    return segment, normalization.invert(segment[:, -1])
 
 
 def synthesize(checkpoint: ModelCheckpoint, state: LatentRollState,
@@ -76,20 +74,17 @@ def synthesize(checkpoint: ModelCheckpoint, state: LatentRollState,
     frame (denormalized), then propagate; repeated ``steps`` times.
 
     The parameterization is constant along the roll, so all steps are
-    decoded as one batch. Per-step decoding agrees to rounding (about 1e-15),
-    not bitwise: batches of different sizes take different BLAS kernels.
+    rendered as one batch of step offsets 0..steps-1. Per-step decoding
+    agrees to rounding (about 1e-15), not bitwise: the phase is not wrapped
+    between steps, and batches of different sizes take different BLAS
+    kernels.
     """
     if steps <= 0:
         raise ValueError("steps must be positive")
     model = build_fld_model(checkpoint, "synthesis")
-    dt = model.config.dt
-    phis = wrap_phase(state.phi[None, :] + np.arange(steps)[:, None] * (state.freq * dt)[None, :])
-    zhat, _ = model.reconstruct_latent(phis, np.tile(state.freq, (steps, 1)),
-                                       np.tile(state.amp, (steps, 1)),
-                                       np.tile(state.offset, (steps, 1)))
-    segs, _ = model.decode(zhat[:, 0], "eval")
-    frames = checkpoint.normalization.invert(segs[:, :, -1])
-    return Trajectory(frames, dt=dt)
+    shat, _ = model.render(state.phi, state.freq, state.amp, state.offset, np.arange(steps))
+    frames = checkpoint.normalization.invert(shat[0, :, :, -1])
+    return Trajectory(frames, dt=model.config.dt)
 
 
 def interpolate_theta(src: LatentRollState, dst: LatentRollState, steps: int,
@@ -117,37 +112,6 @@ def interpolate_theta(src: LatentRollState, dst: LatentRollState, steps: int,
     return out
 
 
-class InputBuffer:
-    """Ring of the most recent horizon+1 segments, oldest first."""
-
-    def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
-        self._ring: deque[np.ndarray] = deque(maxlen=capacity)
-
-    def push(self, segment: np.ndarray) -> None:
-        self._ring.append(np.asarray(segment, dtype=np.float64))
-
-    def clear(self) -> None:
-        self._ring.clear()
-
-    def __len__(self) -> int:
-        return len(self._ring)
-
-    @property
-    def full(self) -> bool:
-        return len(self._ring) == self.capacity
-
-    @property
-    def empty(self) -> bool:
-        return len(self._ring) == 0
-
-    def stacked(self) -> np.ndarray:
-        """(capacity, d, H), oldest to newest."""
-        return np.stack(list(self._ring), axis=0)
-
-
 @dataclass
 class GateConfig:
     epsilon: float
@@ -160,8 +124,7 @@ class GateConfig:
             raise ValueError("epsilon must be positive")
 
     def to_dict(self) -> dict:
-        return {"epsilon": self.epsilon, "quantile": self.quantile,
-                "corpus_hash": self.corpus_hash, "anchor_count": self.anchor_count}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "GateConfig":
@@ -211,32 +174,30 @@ def calibrate_threshold(checkpoint: ModelCheckpoint, corpus: list[Trajectory],
                       anchor_count=len(losses))
 
 
-def gate_step(buffer: InputBuffer, state: LatentRollState, gate: GateConfig,
+def gate_step(segments: np.ndarray | None, state: LatentRollState, gate: GateConfig,
               model: FLDModel, normalization) -> GateDecision:
     """One decision step of the online tracking gate.
 
-    Empty buffer: no input, fall back to propagation. Full buffer: score the
-    earliest segment's propagation against the buffered stream; accept (and
-    re-encode phase and parameterization from the newest segment) only when
-    the loss is within the calibrated threshold. Partially filled buffers
-    are a caller error: wait for warm-up.
+    ``segments`` is the full input buffer stacked oldest first, (N+1, d, H),
+    or None when no full buffer exists. None: no input, fall back to
+    propagation. Otherwise score the earliest segment's propagation against
+    the buffered stream; accept (and re-encode phase and parameterization
+    from the newest segment) only when the loss is within the calibrated
+    threshold, else fall back to propagation.
     """
-    if not (buffer.empty or buffer.full):
-        raise ValueError(f"gate needs an empty or full buffer, got "
-                         f"{len(buffer)}/{buffer.capacity} segments")
-    if buffer.empty:
-        new_state = propagate(state, model.config.dt)
-        verdict, loss = "no_input", None
+    if segments is None:
+        loss, verdict = None, "no_input"
     else:
-        segments = buffer.stacked()
+        if segments.shape[0] != model.config.horizon + 1:
+            raise ValueError(f"gate needs a full buffer of {model.config.horizon + 1} "
+                             f"segments, got {segments.shape[0]}")
         loss = anchored_gate_loss(model, segments)
-        if loss <= gate.epsilon:
-            new_state = encode_state(model, segments[-1])
-            new_state.step = state.step + 1
-            verdict = "accepted"
-        else:
-            new_state = propagate(state, model.config.dt)
-            verdict = "rejected"
+        verdict = "accepted" if loss <= gate.epsilon else "rejected"
+    if verdict == "accepted":
+        new_state = encode_state(model, segments[-1])
+        new_state.step = state.step + 1
+    else:
+        new_state = propagate(state, model.config.dt)
     segment, frame = decode_state_frame(model, new_state, normalization)
     return GateDecision(verdict=verdict, loss=loss, state=new_state,
                         target_segment=segment, target_frame=frame)
@@ -244,9 +205,10 @@ def gate_step(buffer: InputBuffer, state: LatentRollState, gate: GateConfig,
 
 class GateRunner:
     """Frame-by-frame driver: accumulates raw frames, forms normalized
-    segments, manages the warm-up, and emits one decision per step once
-    segments exist. Until the input buffer is full, decisions are
-    ``no_input`` fallbacks."""
+    segments into an input buffer of the newest horizon + 1, and emits one
+    ``gate_step`` decision per frame. While the buffer is not full (warm-up,
+    or after a None frame empties it) the gate gets None and the decision
+    is a ``no_input`` fallback."""
 
     def __init__(self, checkpoint: ModelCheckpoint, gate: GateConfig,
                  initial_state: LatentRollState | None = None):
@@ -254,7 +216,7 @@ class GateRunner:
         self.normalization = checkpoint.normalization
         self.gate = gate
         cfg = self.model.config
-        self.buffer = InputBuffer(cfg.horizon + 1)
+        self.buffer: deque[np.ndarray] = deque(maxlen=cfg.horizon + 1)
         self._frames: deque[np.ndarray] = deque(maxlen=cfg.window)
         if initial_state is None:
             c = cfg.channels
@@ -269,17 +231,11 @@ class GateRunner:
             self.buffer.clear()
             self._frames.clear()
         else:
-            self._frames.append(self.normalization.apply(np.asarray(frame, dtype=np.float64)))
+            self._frames.append(self.normalization.apply(frame))
             if len(self._frames) == self.model.config.window:
-                self.buffer.push(np.stack(self._frames, axis=1))
-        if self.buffer.full:
-            decision = gate_step(self.buffer, self.state, self.gate,
-                                 self.model, self.normalization)
-        else:
-            # warm-up: treat as absent input rather than scoring a partial buffer
-            new_state = propagate(self.state, self.model.config.dt)
-            segment, out_frame = decode_state_frame(self.model, new_state,
-                                                    self.normalization)
-            decision = GateDecision("no_input", None, new_state, segment, out_frame)
+                self.buffer.append(np.stack(self._frames, axis=1))
+        full = len(self.buffer) == self.buffer.maxlen
+        decision = gate_step(np.stack(self.buffer) if full else None, self.state,
+                             self.gate, self.model, self.normalization)
         self.state = decision.state
         return decision

@@ -18,7 +18,7 @@ Conventions
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -306,27 +306,39 @@ class FLDModel:
         d_offset = grad_zhat.sum(axis=(1, 3))
         return d_phi, d_freq, d_amp, d_offset
 
+    # -- analysis / synthesis maps ------------------------------------------
+
+    def analyze(self, segments: np.ndarray, mode: str = "eval"
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, tuple]:
+        """Segments (B, d, H) or one (d, H) to their parameterization:
+        (phi, f, a, b, (encode cache, parameterize cache)), each (B, c)."""
+        z, enc_cache = self.encode(segments, mode)
+        phi, freq, amp, offset, par_cache = self.parameterize(z, mode)
+        return phi, freq, amp, offset, (enc_cache, par_cache)
+
+    def render(self, phi: np.ndarray, freq: np.ndarray, amp: np.ndarray,
+               offset: np.ndarray, steps: np.ndarray | list[int], mode: str = "eval"
+               ) -> tuple[np.ndarray, tuple]:
+        """Decoded segments of a parameterization advanced by each step i in
+        ``steps``: (shat (B, n_steps, d, H), (reconstruct cache, decode cache)).
+        Accepts one (c,) parameterization as a batch of one."""
+        zhat, rec_cache = self.reconstruct_latent(phi, freq, amp, offset, steps)
+        batch, n_steps, c, h = zhat.shape
+        shat, dec_cache = self.decode(zhat.reshape(batch * n_steps, c, h), mode)
+        return shat.reshape(batch, n_steps, self.config.dims, h), (rec_cache, dec_cache)
+
     # -- prediction and loss ----------------------------------------------
 
-    def predict(self, segments: np.ndarray, horizons: np.ndarray | list[int],
-                mode: str = "eval") -> np.ndarray:
-        """Decoded forward predictions for each step in ``horizons``.
-
-        Returns (B, n_horizons, d, H); horizon 0 is the plain reconstruction.
-        """
+    def predict(self, segments: np.ndarray, horizons: np.ndarray | list[int]) -> np.ndarray:
+        """Decoded forward predictions for each step in ``horizons``, in eval
+        mode. Returns (B, n_horizons, d, H); horizon 0 is the plain
+        reconstruction."""
         horizons = np.asarray(horizons)
         if np.any(horizons < 0):
             raise ValueError("horizons must be >= 0")
-        x = np.asarray(segments, dtype=np.float64)
-        squeeze = x.ndim == 2
-        z, _ = self.encode(x, mode)
-        phi, f, a, b, _ = self.parameterize(z, mode)
-        zhat, _ = self.reconstruct_latent(phi, f, a, b, horizons)
-        batch, n_steps = zhat.shape[0], zhat.shape[1]
-        shat, _ = self.decode(zhat.reshape(batch * n_steps, self.config.channels,
-                                           self.config.window), mode)
-        shat = shat.reshape(batch, n_steps, self.config.dims, self.config.window)
-        return shat[0] if squeeze else shat
+        phi, f, a, b, _ = self.analyze(segments)
+        shat, _ = self.render(phi, f, a, b, horizons)
+        return shat[0] if np.ndim(segments) == 2 else shat
 
     def loss_and_grads(self, items: np.ndarray, mode: str = "train",
                        want_grads: bool = True, alpha: float | None = None,
@@ -351,12 +363,9 @@ class FLDModel:
         batch = items.shape[0]
         c, h, d = self.config.channels, self.config.window, self.config.dims
 
-        z, enc_cache = self.encode(items[:, 0] if anchor is None else anchor, mode)
-        phi, f, amp, off, par_cache = self.parameterize(z, mode)
-        steps = np.arange(n + 1)
-        zhat, rec_cache = self.reconstruct_latent(phi, f, amp, off, steps)
-        shat, dec_cache = self.decode(zhat.reshape(batch * (n + 1), c, h), mode)
-        shat = shat.reshape(batch, n + 1, d, h)
+        phi, f, amp, off, (enc_cache, par_cache) = self.analyze(
+            items[:, 0] if anchor is None else anchor, mode)
+        shat, (rec_cache, dec_cache) = self.render(phi, f, amp, off, np.arange(n + 1), mode)
 
         targets = items[:, :n + 1]
         diff = shat - targets

@@ -165,7 +165,6 @@ class BatchNorm1d:
             self.running_var += self.momentum * var * n / max(n - 1, 1)
         elif mode == "eval":
             mean, var = self.running_mean, self.running_var
-            n = 0
         else:
             raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
         std = np.sqrt(var + self.eps)
@@ -173,7 +172,7 @@ class BatchNorm1d:
         y = self.gamma.value.reshape(bshape) * x_hat + self.beta.value.reshape(bshape)
         ensure_finite(y, "batchnorm output")
         cache = {"x_hat": x_hat, "std": std, "axes": axes, "bshape": bshape,
-                 "mode": mode, "n": n}
+                 "mode": mode}
         return y, cache
 
     def backward(self, grad_out: np.ndarray, cache: dict) -> np.ndarray:
@@ -185,7 +184,6 @@ class BatchNorm1d:
         gamma_over_std = (self.gamma.value / std).reshape(bshape)
         if cache["mode"] == "eval":
             return g * gamma_over_std
-        n = cache["n"]
         g_mean = g.mean(axis=axes).reshape(bshape)
         gx_mean = (g * x_hat).mean(axis=axes).reshape(bshape)
         return gamma_over_std * (g - g_mean - x_hat * gx_mean)

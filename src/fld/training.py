@@ -32,6 +32,9 @@ from .signals import (
 )
 from .stats import pca_project_2d
 
+_PREDICT_CHUNK = 64   # anchors per model.predict call
+_ANALYZE_CHUNK = 256  # segments per model.analyze call
+
 
 @dataclass
 class TrainConfig:
@@ -192,8 +195,8 @@ class EvaluationReport:
 def evaluate_prediction(checkpoints: dict[str, ModelCheckpoint],
                         trajectory: Trajectory, horizons,
                         anchor_stride: int = 5,
-                        groups: dict[str, tuple[int, int]] | None = None,
-                        chunk: int = 64) -> EvaluationReport:
+                        groups: dict[str, tuple[int, int]] | None = None
+                        ) -> EvaluationReport:
     """Per-horizon relative prediction error for each checkpoint on one
     held-out trajectory. Anchors are subsampled every ``anchor_stride``
     frames; predictions and targets are compared in normalized space."""
@@ -223,8 +226,8 @@ def evaluate_prediction(checkpoints: dict[str, ModelCheckpoint],
         n_anchor_out = len(anchor_ids)
         acc = np.zeros(horizons.size)
         acc_group = {g: np.zeros(horizons.size) for g in grp}
-        for start in range(0, len(anchor_ids), chunk):
-            ids = anchor_ids[start:start + chunk]
+        for start in range(0, len(anchor_ids), _PREDICT_CHUNK):
+            ids = anchor_ids[start:start + _PREDICT_CHUNK]
             targets = view[ids[:, None] + horizons[None, :]]  # (b, n_h, d, H)
             preds = model.predict(view[ids], horizons)
             acc += relative_error(preds, targets).sum(axis=0)
@@ -236,23 +239,15 @@ def evaluate_prediction(checkpoints: dict[str, ModelCheckpoint],
                             group_errors=group_errors, anchor_count=n_anchor_out)
 
 
-def phase_features(model: FLDModel, frames_normed: np.ndarray,
-                   anchor_stride: int = 1, chunk: int = 256
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-frame phase features concat_c (a_c sin(2 pi phi_c), a_c cos(2 pi phi_c)).
-
-    Returns (features (n, 2c), anchor frame indices)."""
-    cfg = model.config
-    view = segment_view(frames_normed, cfg.window)
+def _strided_params(model: FLDModel, frames_normed: np.ndarray, anchor_stride: int
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(phi, f, a, b), each (n, c), of every ``anchor_stride``-th segment of a
+    normalized trajectory."""
+    view = segment_view(frames_normed, model.config.window)
     ids = np.arange(0, view.shape[0], anchor_stride)
-    feats = np.empty((len(ids), 2 * cfg.channels))
-    for start in range(0, len(ids), chunk):
-        sel = ids[start:start + chunk]
-        z, _ = model.encode(view[sel], "eval")
-        phi, _, amp, _, _ = model.parameterize(z, "eval")
-        feats[start:start + len(sel), 0::2] = amp * np.sin(2 * np.pi * phi)
-        feats[start:start + len(sel), 1::2] = amp * np.cos(2 * np.pi * phi)
-    return feats, ids + cfg.window - 1
+    chunks = [model.analyze(view[ids[start:start + _ANALYZE_CHUNK]])[:4]
+              for start in range(0, len(ids), _ANALYZE_CHUNK)]
+    return tuple(np.concatenate(part, axis=0) for part in zip(*chunks))
 
 
 @dataclass
@@ -266,17 +261,22 @@ class ManifoldPoint:
 
 def export_latent_manifold(checkpoint: ModelCheckpoint, corpus: list[Trajectory],
                            anchor_stride: int = 1) -> list[ManifoldPoint]:
-    """2D PCA of the phase features over every windowable frame of the corpus."""
+    """2D PCA of the per-frame phase features
+    concat_c (a_c sin(2 pi phi_c), a_c cos(2 pi phi_c)) over every windowable
+    frame of the corpus; each point is labelled with its segment's newest frame."""
     model = build_fld_model(checkpoint, "latent manifold export")
+    window = model.config.window
     feats = []
     meta = []
     for ti, traj in enumerate(corpus):
-        if len(traj) < model.config.window:
+        if len(traj) < window:
             continue
-        f, frames_idx = phase_features(model, checkpoint.normalization.apply(traj.frames),
-                                       anchor_stride)
-        feats.append(f)
-        meta.extend((ti, traj.label or f"trajectory-{ti}", int(fi)) for fi in frames_idx)
+        phi, _, amp, _ = _strided_params(model, checkpoint.normalization.apply(traj.frames),
+                                         anchor_stride)
+        f = np.stack([amp * np.sin(2 * np.pi * phi), amp * np.cos(2 * np.pi * phi)], axis=-1)
+        feats.append(f.reshape(len(phi), -1))
+        meta.extend((ti, traj.label or f"trajectory-{ti}", int(fi))
+                    for fi in range(window - 1, len(traj), anchor_stride))
     if not feats or sum(f.shape[0] for f in feats) < 3:
         raise ValueError("need at least 3 windowable frames for a manifold export")
     projected, _ = pca_project_2d(np.concatenate(feats, axis=0))
@@ -300,28 +300,17 @@ def quasi_constancy_report(checkpoint: ModelCheckpoint, corpus: list[Trajectory]
     """How constant the latent parameterization stays along trajectories,
     relative to its spread across the corpus. Lower is more constant."""
     model = build_fld_model(checkpoint, "quasi-constancy")
-    cfg = model.config
-    usable = [t for t in corpus if len(t) >= cfg.window]
+    usable = [t for t in corpus if len(t) >= model.config.window]
     if len(usable) < 2:
         raise ValueError("need at least two windowable trajectories")
     per_traj_std: dict[str, list[np.ndarray]] = {"f": [], "a": [], "b": []}
     per_traj_mean: dict[str, list[np.ndarray]] = {"f": [], "a": [], "b": []}
     for traj in usable:
-        frames = checkpoint.normalization.apply(traj.frames)
-        view = segment_view(frames, cfg.window)
-        ids = np.arange(0, view.shape[0], anchor_stride)
-        thetas = {"f": [], "a": [], "b": []}
-        for start in range(0, len(ids), 256):
-            sel = ids[start:start + 256]
-            z, _ = model.encode(view[sel], "eval")
-            _, f, a, b, _ = model.parameterize(z, "eval")
-            thetas["f"].append(f)
-            thetas["a"].append(a)
-            thetas["b"].append(b)
-        for key in thetas:
-            stacked = np.concatenate(thetas[key], axis=0)
-            per_traj_std[key].append(stacked.std(axis=0))
-            per_traj_mean[key].append(stacked.mean(axis=0))
+        _, f, a, b = _strided_params(model, checkpoint.normalization.apply(traj.frames),
+                                     anchor_stride)
+        for key, theta in zip("fab", (f, a, b)):
+            per_traj_std[key].append(theta.std(axis=0))
+            per_traj_mean[key].append(theta.mean(axis=0))
     within, across, ratio, skipped = {}, {}, {}, {}
     ratios_all = []
     for key in ("f", "a", "b"):

@@ -5,14 +5,17 @@ from fld.checkpoint import build_model
 from fld.dynamics import (
     GateConfig,
     GateRunner,
+    LatentRollState,
     anchored_gate_loss,
     calibrate_threshold,
     decode_state_frame,
     encode_state,
+    gate_step,
+    interpolate_theta,
     propagate,
     synthesize,
 )
-from fld.model import FLDConfig, VAEConfig
+from fld.model import FLDConfig, VAEConfig, wrap_phase
 from fld.signals import SyntheticMotionSpec, generate_synthetic, segment_view
 from fld.stats import quantile_midpoint
 from fld.training import TrainConfig, export_latent_manifold, quasi_constancy_report, train
@@ -72,14 +75,14 @@ def test_calibrated_epsilon_is_quantile_of_strided_anchor_losses(fld_checkpoint)
 
 def test_runner_emits_no_input_during_warm_up_and_after_gap(fld_checkpoint):
     runner = GateRunner(fld_checkpoint, GateConfig(epsilon=1e9))
-    window, capacity = runner.model.config.window, runner.buffer.capacity
+    window, capacity = runner.model.config.window, runner.buffer.maxlen
     frames = corpus(1)[0].frames
     # a full buffer needs window - 1 + capacity frames
     warm = window - 1 + capacity
     verdicts = [runner.step(f).verdict for f in frames[:warm]]
     assert verdicts == ["no_input"] * (warm - 1) + ["accepted"]
     assert runner.step(None).verdict == "no_input"
-    assert not runner.buffer.full
+    assert len(runner.buffer) < runner.buffer.maxlen
     # after a gap the buffer refills from scratch before the gate scores again
     verdicts = [runner.step(f).verdict for f in frames[warm:2 * warm]]
     assert verdicts == ["no_input"] * (warm - 1) + ["accepted"]
@@ -95,3 +98,68 @@ def test_synthesize_matches_iterated_propagation(fld_checkpoint):
         iterated.append(decode_state_frame(model, state, fld_checkpoint.normalization)[1])
         state = propagate(state, model.config.dt)
     assert np.max(np.abs(rolled - np.array(iterated))) < 1e-12
+
+
+def random_state(rng, c=2, step=0):
+    return LatentRollState(phi=rng.uniform(-0.5, 0.5, c), freq=rng.uniform(0.5, 3.0, c),
+                           amp=rng.uniform(0.2, 1.5, c), offset=rng.normal(size=c), step=step)
+
+
+def test_interpolate_theta_endpoints_and_phase_advance():
+    rng = np.random.default_rng(4)
+    src, dst = random_state(rng, 3), random_state(rng, 3)
+    dt, steps = 0.02, 7
+    states = interpolate_theta(src, dst, steps, dt)
+    assert [s.step for s in states] == list(range(steps + 1))
+    first, last = states[0], states[-1]
+    assert np.array_equal(first.phi, src.phi)
+    for got, want in ((first, src), (last, dst)):
+        assert np.array_equal(got.freq, want.freq)
+        assert np.array_equal(got.amp, want.amp)
+        assert np.array_equal(got.offset, want.offset)
+    for prev, cur in zip(states, states[1:]):
+        assert np.max(np.abs(wrap_phase(cur.phi - prev.phi - prev.freq * dt))) < 1e-12
+
+
+def test_interpolate_theta_rejects_bad_input():
+    rng = np.random.default_rng(5)
+    src = random_state(rng, 2)
+    with pytest.raises(ValueError, match="steps"):
+        interpolate_theta(src, random_state(rng, 2), 0, 0.02)
+    with pytest.raises(ValueError, match="channel counts"):
+        interpolate_theta(src, random_state(rng, 3), 4, 0.02)
+
+
+def test_propagation_is_a_grid_shift(fld_checkpoint):
+    model = build_model(fld_checkpoint)
+    state = random_state(np.random.default_rng(6))
+    shifted, _ = model.render(state.phi, state.freq, state.amp, state.offset, [1])
+    segment, _ = decode_state_frame(model, propagate(state, model.config.dt),
+                                    fld_checkpoint.normalization)
+    assert np.max(np.abs(segment - shifted[0, 0])) < 1e-12
+
+
+def test_gate_without_input_propagates_and_decodes(fld_checkpoint):
+    model = build_model(fld_checkpoint)
+    state = random_state(np.random.default_rng(7), step=3)
+    decision = gate_step(None, state, GateConfig(epsilon=1.0), model,
+                         fld_checkpoint.normalization)
+    expected = propagate(state, model.config.dt)
+    segment, frame = decode_state_frame(model, expected, fld_checkpoint.normalization)
+    assert decision.verdict == "no_input" and decision.loss is None
+    assert decision.state.step == expected.step == 4
+    for key in ("phi", "freq", "amp", "offset"):
+        assert np.array_equal(getattr(decision.state, key), getattr(expected, key))
+    assert np.array_equal(decision.target_segment, segment)
+    assert np.array_equal(decision.target_frame, frame)
+
+
+def test_gate_rejects_a_stack_of_the_wrong_length(fld_checkpoint):
+    model = build_model(fld_checkpoint)
+    n, window = model.config.horizon, model.config.window
+    view = segment_view(fld_checkpoint.normalization.apply(corpus(1)[0].frames), window)
+    state = random_state(np.random.default_rng(8))
+    for count in (n, n + 2):
+        with pytest.raises(ValueError, match=f"full buffer of {n + 1} segments, got {count}"):
+            gate_step(view[:count], state, GateConfig(epsilon=1.0), model,
+                      fld_checkpoint.normalization)

@@ -195,7 +195,7 @@ class TestLoss:
         model = tiny_model()
         items = self.make_items(model)
         total, per = model.loss_and_grads(items[:, :1], want_grads=False)
-        pred = model.predict(items[:, 0], [0], mode="eval")
+        pred = model.predict(items[:, 0], [0])
         # value matches a hand MSE in train mode
         assert per.size == 1
         model2 = tiny_model()
@@ -209,7 +209,7 @@ class TestLoss:
     def test_perfect_prediction_gives_zero(self):
         model = tiny_model()
         items = self.make_items(model, batch=2)
-        pred = model.predict(items[:, 0], np.arange(model.config.horizon + 1), mode="eval")
+        pred = model.predict(items[:, 0], np.arange(model.config.horizon + 1))
         # feed the model's own eval-mode outputs back as targets
         total, per = model.loss_and_grads(pred, mode="eval", want_grads=False,
                                           anchor=items[:, 0])
