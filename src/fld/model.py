@@ -291,15 +291,15 @@ class FLDModel:
                                + advanced[..., None])
         sin_a = np.sin(angle)
         zhat = amp[:, None, :, None] * sin_a + offset[:, None, :, None]
-        cache = {"sin": sin_a, "cos": np.cos(angle), "amp": amp, "times": times}
+        cache = {"sin": sin_a, "angle": angle, "amp": amp, "times": times}
         return zhat, cache
 
     def reconstruct_latent_backward(self, grad_zhat: np.ndarray, cache: dict
                                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Returns (d_phi, d_freq, d_amp, d_offset), each (B, c)."""
-        sin_a, cos_a, amp, times = cache["sin"], cache["cos"], cache["amp"], cache["times"]
+        sin_a, amp, times = cache["sin"], cache["amp"], cache["times"]
         d_amp = np.einsum("bick,bick->bc", grad_zhat, sin_a)
-        d_angle = grad_zhat * cos_a * amp[:, None, :, None]
+        d_angle = grad_zhat * np.cos(cache["angle"]) * amp[:, None, :, None]
         two_pi = 2.0 * np.pi
         d_phi = two_pi * d_angle.sum(axis=(1, 3))
         d_freq = two_pi * np.einsum("bick,ik->bc", d_angle, times)

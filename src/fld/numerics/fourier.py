@@ -15,8 +15,6 @@ from __future__ import annotations
 import numpy as np
 import scipy.fft
 
-_FFT_WORKERS = -1  # scipy.fft: use all available cores; results are bitwise stable
-
 
 def rfft(signal: np.ndarray) -> np.ndarray:
     """Half-spectrum DFT of real ``signal`` along the last axis.
@@ -26,7 +24,7 @@ def rfft(signal: np.ndarray) -> np.ndarray:
     h = signal.shape[-1]
     if h < 2:
         raise ValueError(f"signal length must be >= 2, got {h}")
-    return scipy.fft.rfft(np.asarray(signal, dtype=np.float64), axis=-1, workers=_FFT_WORKERS)
+    return scipy.fft.rfft(np.asarray(signal, dtype=np.float64), axis=-1)
 
 
 def rfft_backward(grad_real: np.ndarray, grad_imag: np.ndarray, h: int) -> np.ndarray:

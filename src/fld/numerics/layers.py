@@ -2,7 +2,8 @@
 
 All arrays are float64. Layers are stateless between calls except for their
 parameters (and batch-norm running statistics, which only a train-mode
-forward mutates): ``forward`` returns ``(output, cache)`` and ``backward``
+forward mutates, and the kernel spectra a convolution derives from its
+weights): ``forward`` returns ``(output, cache)`` and ``backward``
 consumes the cache, accumulates parameter gradients and returns the input
 gradient. Callers own the optimizer state and the train/eval mode choice.
 """
@@ -11,8 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.fft
-
-from .fourier import _FFT_WORKERS
 
 
 def ensure_finite(arr: np.ndarray, what: str) -> np.ndarray:
@@ -44,8 +43,13 @@ def _uniform_init(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int)
 class Conv1d:
     """Same-padded 1D cross-correlation, stride 1, odd kernel.
 
-    Computed in the frequency domain (linear correlation via zero-padded
-    transforms of length >= L + k - 1, so no circular aliasing); this must
+    Computed in the frequency domain at the shortest fast real-FFT length
+    m >= L + (k - 1)/2. Outputs 0..L-1 read only lags -pad..pad, so the
+    input is transformed unpadded, the kernel's lags sit circularly around
+    index 0, and no circular wrap reaches an output, a weight-gradient lag
+    or an input-gradient sample. The kernel spectra are kept on the layer
+    and rebuilt only when the weights differ, by value, from the copy they
+    were built from: optimizers and tests write weights in place. This must
     match the naive sliding dot product to 1e-12 and the test suite holds
     it to that.
     """
@@ -63,6 +67,8 @@ class Conv1d:
         # a bias is pointless (and makes gradients degenerate) when the layer
         # feeds straight into batch norm, so model code may drop it
         self.bias = Parameter(f"{name}.bias", _uniform_init(rng, (out_channels,), fan_in)) if bias else None
+        # (m, weights the spectrum was built from, spectrum)
+        self._spectrum: tuple[int, np.ndarray, np.ndarray] | None = None
 
     def parameters(self) -> list[Parameter]:
         return [self.weight] + ([self.bias] if self.bias is not None else [])
@@ -73,47 +79,56 @@ class Conv1d:
             raise ValueError(f"expected input (batch, {self.in_channels}, length), got {x.shape}")
         return x
 
+    def _kernel_spectrum(self, m: int) -> np.ndarray:
+        """conj(rfft) of the kernel with lag s at index s mod m, as (bins, I, O)."""
+        w = self.weight.value
+        if self._spectrum is not None:
+            built_m, built_from, w_spec = self._spectrum
+            if built_m == m and np.array_equal(w, built_from):
+                return w_spec
+        pad = (self.kernel_size - 1) // 2
+        lags = np.zeros((self.out_channels, self.in_channels, m))
+        lags[:, :, :pad + 1] = w[:, :, pad:]
+        lags[:, :, m - pad:] = w[:, :, :pad]
+        w_spec = np.ascontiguousarray(np.conj(scipy.fft.rfft(lags, axis=-1)).transpose(2, 1, 0))
+        self._spectrum = (m, w.copy(), w_spec)
+        return w_spec
+
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, dict]:
         x = self._check_input(x)
-        batch, _, length = x.shape
-        k = self.kernel_size
-        pad = (k - 1) // 2
-        m = scipy.fft.next_fast_len(length + k - 1, real=True)
+        length = x.shape[-1]
+        pad = (self.kernel_size - 1) // 2
+        m = scipy.fft.next_fast_len(length + pad, real=True)
+        w_spec = self._kernel_spectrum(m)
+        x_hat = np.ascontiguousarray(scipy.fft.rfft(x, n=m, axis=-1).transpose(2, 0, 1))
 
-        xp = np.zeros((batch, self.in_channels, length + 2 * pad))
-        xp[:, :, pad:pad + length] = x
-        x_hat = scipy.fft.rfft(xp, n=m, axis=-1, workers=_FFT_WORKERS)
-        w_hat = scipy.fft.rfft(self.weight.value, n=m, axis=-1, workers=_FFT_WORKERS)
-
-        # y[b,o,t] = sum_{i,kap} xp[b,i,t+kap] w[o,i,kap]  (cross-correlation)
-        y_hat = np.matmul(x_hat.transpose(2, 0, 1), np.conj(w_hat).transpose(2, 1, 0))
-        y = scipy.fft.irfft(y_hat.transpose(1, 2, 0), n=m, axis=-1,
-                            workers=_FFT_WORKERS)[:, :, :length]
+        # y[b,o,t] = sum_{i,s} x[b,i,t+s] w[o,i,pad+s]  (cross-correlation)
+        y_hat = x_hat @ w_spec
+        y = scipy.fft.irfft(y_hat.transpose(1, 2, 0), n=m, axis=-1)[:, :, :length]
         if self.bias is not None:
             y = y + self.bias.value[None, :, None]
         ensure_finite(y, "conv1d output")
-        cache = {"x_hat": x_hat, "w_hat": w_hat, "m": m, "length": length, "pad": pad}
+        cache = {"x_hat": x_hat, "w_spec": w_spec, "m": m, "length": length, "pad": pad}
         return y, cache
 
     def backward(self, grad_out: np.ndarray, cache: dict) -> np.ndarray:
         m, length, pad = cache["m"], cache["length"], cache["pad"]
         g = np.asarray(grad_out, dtype=np.float64)
-        g_hat = scipy.fft.rfft(g, n=m, axis=-1, workers=_FFT_WORKERS)
+        g_hat = scipy.fft.rfft(g, n=m, axis=-1).transpose(2, 0, 1)
 
         if self.bias is not None:
             self.bias.grad += g.sum(axis=(0, 2))
 
-        # dW[o,i,kap] = sum_{b,t} g[b,o,t] xp[b,i,t+kap]: correlation over t.
-        dw_hat = np.matmul(np.conj(g_hat).transpose(2, 1, 0), cache["x_hat"].transpose(2, 0, 1))
-        dw = scipy.fft.irfft(dw_hat.transpose(1, 2, 0), n=m, axis=-1,
-                             workers=_FFT_WORKERS)[:, :, :self.kernel_size]
-        self.weight.grad += dw
+        # dW[o,i,pad+s] = sum_{b,t} g[b,o,t] x[b,i,t+s]: correlation over t,
+        # lag s at index s mod m
+        dw_hat = np.conj(g_hat).transpose(0, 2, 1) @ cache["x_hat"]
+        lags = scipy.fft.irfft(dw_hat.transpose(1, 2, 0), n=m, axis=-1)
+        self.weight.grad[:, :, pad:] += lags[:, :, :pad + 1]
+        self.weight.grad[:, :, :pad] += lags[:, :, m - pad:]
 
-        # dxp[b,i,u] = sum_{o,kap} g[b,o,u-kap] w[o,i,kap]: full convolution.
-        dx_hat = np.matmul(g_hat.transpose(2, 0, 1), cache["w_hat"].transpose(2, 0, 1))
-        dxp = scipy.fft.irfft(dx_hat.transpose(1, 2, 0), n=m, axis=-1,
-                              workers=_FFT_WORKERS)[:, :, :length + 2 * pad]
-        return dxp[:, :, pad:pad + length]
+        # dx[b,i,u] = sum_{o,s} g[b,o,u-s] w[o,i,pad+s]: convolution
+        dx_hat = g_hat @ np.conj(cache["w_spec"]).transpose(0, 2, 1)
+        return scipy.fft.irfft(dx_hat.transpose(1, 2, 0), n=m, axis=-1)[:, :, :length]
 
 
 class BatchNorm1d:

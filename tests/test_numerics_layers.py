@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.fft
 
 from fld.numerics import (
+    Adam,
     BatchNorm1d,
     Conv1d,
     Linear,
@@ -30,6 +32,23 @@ def conv_oracle(x, w, b):
             for t in range(length):
                 y[bi, o, t] = np.sum(xp[bi, :, t:t + k] * w[o]) + b[o]
     return y
+
+
+def conv_oracle_backward(x, w, g):
+    """Sliding-window (dW, dx) for the loss sum(y * g), independent of the
+    library's path."""
+    _, _, length = x.shape
+    k = w.shape[2]
+    pad = (k - 1) // 2
+    xp = np.zeros(x.shape[:2] + (length + 2 * pad,))
+    xp[:, :, pad:pad + length] = x
+    dw = np.zeros_like(w)
+    dxp = np.zeros_like(xp)
+    for t in range(length):
+        for kap in range(k):
+            dw[:, :, kap] += g[:, :, t].T @ xp[:, :, t + kap]
+            dxp[:, :, t + kap] += g[:, :, t] @ w[:, :, kap]
+    return dw, dxp[:, :, pad:pad + length]
 
 
 def make_conv(cin, cout, k, seed=0):
@@ -69,6 +88,47 @@ class TestConv1d:
         y, _ = conv.forward(x)
         assert np.max(np.abs(y - conv_oracle(x, conv.weight.value, conv.bias.value))) < 1e-12
 
+    @pytest.mark.parametrize("cin,cout,k,length,m", [
+        (3, 4, 51, 51, 80),  # the paper shape: k = L
+        (2, 3, 7, 45, 48),   # m is exactly L + (k-1)/2: the tightest no-alias case
+        (2, 2, 9, 2, 6),     # m is shorter than the kernel
+    ])
+    def test_forward_and_backward_match_sliding_window_oracle(self, cin, cout, k, length, m):
+        # m: the shortest fast transform length that keeps outputs 0..L-1 alias-free
+        assert scipy.fft.next_fast_len(length + (k - 1) // 2, real=True) == m
+        rng = np.random.default_rng(11)
+        conv = make_conv(cin, cout, k)
+        x = rng.normal(size=(3, cin, length))
+        g = rng.normal(size=(3, cout, length))
+        y, cache = conv.forward(x)
+        assert np.max(np.abs(y - conv_oracle(x, conv.weight.value, conv.bias.value))) < 1e-12
+        conv.weight.zero_grad()
+        dx = conv.backward(g, cache)
+        dw_ref, dx_ref = conv_oracle_backward(x, conv.weight.value, g)
+        assert np.max(np.abs(conv.weight.grad - dw_ref)) < 1e-12
+        assert np.max(np.abs(dx - dx_ref)) < 1e-12
+
+    def test_weights_written_in_place_are_not_served_stale(self):
+        rng = np.random.default_rng(12)
+        conv = make_conv(3, 4, 7)
+        x = rng.normal(size=(2, 3, 12))
+        conv.forward(x)
+        conv.weight.value[...] *= 0.5
+        y, _ = conv.forward(x)
+        assert np.max(np.abs(y - conv_oracle(x, conv.weight.value, conv.bias.value))) < 1e-12
+
+        conv.weight.grad[...] = rng.normal(size=conv.weight.value.shape)
+        Adam([conv.weight], lr=0.1).step()
+        y, _ = conv.forward(x)
+        assert np.max(np.abs(y - conv_oracle(x, conv.weight.value, conv.bias.value))) < 1e-12
+
+    def test_cold_and_warm_layers_agree_bitwise(self):
+        rng = np.random.default_rng(13)
+        x = rng.normal(size=(2, 3, 51))
+        warm = make_conv(3, 4, 51)
+        warm.forward(rng.normal(size=(5, 3, 51)))
+        assert np.array_equal(warm.forward(x)[0], make_conv(3, 4, 51).forward(x)[0])
+
     def test_even_kernel_rejected(self):
         with pytest.raises(ValueError):
             make_conv(1, 1, 4)
@@ -104,7 +164,6 @@ class TestConv1d:
             for i in idx:
                 orig = flat[i]
                 flat[i] = orig + eps
-                lp = loss(x, conv.weight.value, conv.bias.value) if arr is not x else pick(x)
                 lp = pick(arr)
                 flat[i] = orig - eps
                 lm = pick(arr)
