@@ -6,6 +6,16 @@ forward mutates, and the kernel spectra a convolution derives from its
 weights): ``forward`` returns ``(output, cache)`` and ``backward``
 consumes the cache, accumulates parameter gradients and returns the input
 gradient. Callers own the optimizer state and the train/eval mode choice.
+
+The per-element passes make only the full-size arrays their math needs and
+keep no buffer between calls: train-mode batch norm caches x_hat only, eval
+batch norm is one per-channel scale and shift, and ELU caches its output
+only. A convolution writes each input or gradient spectrum once, straight
+into the (bins, B, C) array its batched matmul reads: ``numpy.fft.rfft``
+takes that transposed view as ``out=``, which ``scipy.fft.rfft`` cannot, so
+the forward transforms use numpy and make no padded or transposed copy.
+The inverse transforms stay on ``scipy.fft.irfft``, which is faster than
+numpy's on the transposed spectra they read.
 """
 
 from __future__ import annotations
@@ -15,7 +25,9 @@ import scipy.fft
 
 
 def ensure_finite(arr: np.ndarray, what: str) -> np.ndarray:
-    if not np.all(np.isfinite(arr)):
+    # NaN and +-inf reach the min or the max, so two reductions decide it
+    # without a full-size bool array
+    if arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
         raise FloatingPointError(f"non-finite values in {what}")
     return arr
 
@@ -40,6 +52,13 @@ def _uniform_init(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int)
     return rng.uniform(-bound, bound, size=shape)
 
 
+def _rfft_bins_first(a: np.ndarray, m: int) -> np.ndarray:
+    """rfft of (B, C, L) at length m, written once into a (bins, B, C) array."""
+    spec = np.empty((m // 2 + 1, a.shape[0], a.shape[1]), dtype=np.complex128)
+    np.fft.rfft(a, n=m, axis=-1, out=spec.transpose(1, 2, 0))
+    return spec
+
+
 class Conv1d:
     """Same-padded 1D cross-correlation, stride 1, odd kernel.
 
@@ -49,9 +68,12 @@ class Conv1d:
     index 0, and no circular wrap reaches an output, a weight-gradient lag
     or an input-gradient sample. The kernel spectra are kept on the layer
     and rebuilt only when the weights differ, by value, from the copy they
-    were built from: optimizers and tests write weights in place. This must
-    match the naive sliding dot product to 1e-12 and the test suite holds
-    it to that.
+    were built from: optimizers and tests write weights in place. Input and
+    gradient spectra are written by ``numpy.fft.rfft``, which accepts the
+    transposed ``out=`` view, straight into the (bins, B, C) layout the
+    batched matmuls read; the inverse transforms use ``scipy.fft.irfft``,
+    which reads those spectra faster than numpy's. This must match the
+    naive sliding dot product to 1e-12 and the test suite holds it to that.
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
@@ -100,13 +122,13 @@ class Conv1d:
         pad = (self.kernel_size - 1) // 2
         m = scipy.fft.next_fast_len(length + pad, real=True)
         w_spec = self._kernel_spectrum(m)
-        x_hat = np.ascontiguousarray(scipy.fft.rfft(x, n=m, axis=-1).transpose(2, 0, 1))
+        x_hat = _rfft_bins_first(x, m)
 
         # y[b,o,t] = sum_{i,s} x[b,i,t+s] w[o,i,pad+s]  (cross-correlation)
         y_hat = x_hat @ w_spec
         y = scipy.fft.irfft(y_hat.transpose(1, 2, 0), n=m, axis=-1)[:, :, :length]
         if self.bias is not None:
-            y = y + self.bias.value[None, :, None]
+            y += self.bias.value[None, :, None]
         ensure_finite(y, "conv1d output")
         cache = {"x_hat": x_hat, "w_spec": w_spec, "m": m, "length": length, "pad": pad}
         return y, cache
@@ -114,21 +136,27 @@ class Conv1d:
     def backward(self, grad_out: np.ndarray, cache: dict) -> np.ndarray:
         m, length, pad = cache["m"], cache["length"], cache["pad"]
         g = np.asarray(grad_out, dtype=np.float64)
-        g_hat = scipy.fft.rfft(g, n=m, axis=-1).transpose(2, 0, 1)
+        g_hat = _rfft_bins_first(g, m)
 
         if self.bias is not None:
             self.bias.grad += g.sum(axis=(0, 2))
 
+        # dx[b,i,u] = sum_{o,s} g[b,o,u-s] w[o,i,pad+s]: convolution
+        dx_hat = g_hat @ np.conj(cache["w_spec"]).transpose(0, 2, 1)
+        dx = scipy.fft.irfft(dx_hat.transpose(1, 2, 0), n=m, axis=-1)[:, :, :length]
+
         # dW[o,i,pad+s] = sum_{b,t} g[b,o,t] x[b,i,t+s]: correlation over t,
-        # lag s at index s mod m
-        dw_hat = np.conj(g_hat).transpose(0, 2, 1) @ cache["x_hat"]
+        # lag s at index s mod m; g_hat is not read again, so conjugate it in place
+        dw_hat = np.conj(g_hat, out=g_hat).transpose(0, 2, 1) @ cache["x_hat"]
         lags = scipy.fft.irfft(dw_hat.transpose(1, 2, 0), n=m, axis=-1)
         self.weight.grad[:, :, pad:] += lags[:, :, :pad + 1]
         self.weight.grad[:, :, :pad] += lags[:, :, m - pad:]
+        return dx
 
-        # dx[b,i,u] = sum_{o,s} g[b,o,u-s] w[o,i,pad+s]: convolution
-        dx_hat = g_hat @ np.conj(cache["w_spec"]).transpose(0, 2, 1)
-        return scipy.fft.irfft(dx_hat.transpose(1, 2, 0), n=m, axis=-1)[:, :, :length]
+
+def _channel_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-channel sum of a * b over (B, C) or (B, C, L), without the product array."""
+    return np.einsum("bc,bc->c" if a.ndim == 2 else "bcl,bcl->c", a, b)
 
 
 class BatchNorm1d:
@@ -136,8 +164,13 @@ class BatchNorm1d:
 
     Accepts (B, C) or (B, C, L). Train mode uses biased batch variance for
     normalization, unbiased for the running estimate, and rejects batches
-    of size 1 (the statistics would be degenerate). Eval mode applies the
-    running statistics.
+    of size 1 (the statistics would be degenerate). It centres the input
+    once, takes the variance from the centred array and divides it in place
+    into x_hat, and its cache holds x_hat only: the input is often a view
+    that would keep a convolution's larger transform buffer alive. Eval mode
+    applies the running statistics as one per-channel scale and shift,
+    x * (gamma / std) + (beta - mean * gamma / std); its backward rebuilds
+    x_hat from the input only when it runs.
     """
 
     def __init__(self, num_features: int, name: str, eps: float = 1e-5, momentum: float = 0.1):
@@ -171,37 +204,52 @@ class BatchNorm1d:
         if mode == "train":
             if x.shape[0] < 2:
                 raise ValueError("batch normalization needs batch size >= 2 in train mode")
-            n = int(np.prod([x.shape[a] for a in axes]))
+            n = x.size // self.num_features
             mean = x.mean(axis=axes)
-            var = x.var(axis=axes)
+            x_hat = x - mean.reshape(bshape)
+            var = _channel_dot(x_hat, x_hat) / n
             self.running_mean *= 1.0 - self.momentum
             self.running_mean += self.momentum * mean
             self.running_var *= 1.0 - self.momentum
             self.running_var += self.momentum * var * n / max(n - 1, 1)
+            std = np.sqrt(var + self.eps)
+            x_hat /= std.reshape(bshape)
+            y = x_hat * self.gamma.value.reshape(bshape)
+            y += self.beta.value.reshape(bshape)
+            cache = {"x_hat": x_hat}
         elif mode == "eval":
-            mean, var = self.running_mean, self.running_var
+            std = np.sqrt(self.running_var + self.eps)
+            scale = self.gamma.value / std
+            y = x * scale.reshape(bshape)
+            y += (self.beta.value - self.running_mean * scale).reshape(bshape)
+            cache = {"x": x, "mean": self.running_mean.copy()}
         else:
             raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-        std = np.sqrt(var + self.eps)
-        x_hat = (x - mean.reshape(bshape)) / std.reshape(bshape)
-        y = self.gamma.value.reshape(bshape) * x_hat + self.beta.value.reshape(bshape)
         ensure_finite(y, "batchnorm output")
-        cache = {"x_hat": x_hat, "std": std, "axes": axes, "bshape": bshape,
-                 "mode": mode}
+        cache.update(std=std, axes=axes, bshape=bshape, mode=mode)
         return y, cache
 
     def backward(self, grad_out: np.ndarray, cache: dict) -> np.ndarray:
         g = np.asarray(grad_out, dtype=np.float64)
-        axes, bshape = cache["axes"], cache["bshape"]
-        x_hat, std = cache["x_hat"], cache["std"]
-        self.beta.grad += g.sum(axis=axes)
-        self.gamma.grad += (g * x_hat).sum(axis=axes)
+        axes, bshape, std = cache["axes"], cache["bshape"], cache["std"]
+        if cache["mode"] == "eval":
+            x_hat = (cache["x"] - cache["mean"].reshape(bshape)) / std.reshape(bshape)
+        else:
+            x_hat = cache["x_hat"]
+        sum_g = g.sum(axis=axes)
+        sum_gx = _channel_dot(g, x_hat)
+        self.beta.grad += sum_g
+        self.gamma.grad += sum_gx
         gamma_over_std = (self.gamma.value / std).reshape(bshape)
         if cache["mode"] == "eval":
             return g * gamma_over_std
-        g_mean = g.mean(axis=axes).reshape(bshape)
-        gx_mean = (g * x_hat).mean(axis=axes).reshape(bshape)
-        return gamma_over_std * (g - g_mean - x_hat * gx_mean)
+        # gamma/std * (g - mean(g) - x_hat * mean(g * x_hat)), in one buffer
+        n = g.size // self.num_features
+        dx = x_hat * (-sum_gx / n).reshape(bshape)
+        dx += g
+        dx -= (sum_g / n).reshape(bshape)
+        dx *= gamma_over_std
+        return dx
 
 
 class Linear:
@@ -268,16 +316,25 @@ class PerChannelLinear:
 
 
 def elu(x: np.ndarray) -> tuple[np.ndarray, dict]:
-    """ELU with alpha = 1: x for x > 0, exp(x) - 1 otherwise."""
+    """ELU with alpha = 1: x for x > 0, exp(x) - 1 otherwise.
+
+    Computed as expm1(min(x, 0)) + max(x, 0): one term is zero at every
+    point, so this is exact, and it needs no branch mask. The cache holds
+    the output only, since x <= 0 exactly where y <= 0.
+    """
     x = np.asarray(x, dtype=np.float64)
-    neg = x <= 0.0
-    y = np.where(neg, np.expm1(np.minimum(x, 0.0)), x)
-    return y, {"neg": neg, "y": y}
+    y = np.maximum(x, 0.0)
+    neg_part = np.minimum(x, 0.0)
+    y += np.expm1(neg_part, out=neg_part)
+    return y, {"y": y}
 
 
 def elu_backward(grad_out: np.ndarray, cache: dict) -> np.ndarray:
-    # d elu/dx = exp(x) = y + 1 on the negative branch
-    return grad_out * np.where(cache["neg"], cache["y"] + 1.0, 1.0)
+    # d elu/dx = exp(x) = y + 1 where y <= 0, and 1 where y > 0
+    d = np.minimum(cache["y"], 0.0)
+    d += 1.0
+    d *= grad_out
+    return d
 
 
 def relu(x: np.ndarray) -> tuple[np.ndarray, dict]:

@@ -9,7 +9,6 @@ last column is the frame the window is anchored at.
 from __future__ import annotations
 
 import csv
-import json
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -80,10 +79,6 @@ def load_csv(path: str | Path, d: int, dt: float = DEFAULT_DT,
         warnings.warn(f"{path}: only {len(rows)} frames, shorter than a window "
                       f"of {min_frames}; trajectory is unwindowable")
     return Trajectory(np.array(rows, dtype=np.float64).reshape(len(rows), d), dt=dt, label=label)
-
-
-def save_csv(path: str | Path, trajectory: Trajectory) -> None:
-    np.savetxt(path, trajectory.frames, delimiter=",", fmt="%.17g")
 
 
 @dataclass
@@ -178,24 +173,6 @@ class SyntheticMotionSpec:
     def dims(self) -> int:
         return self.amplitudes.size
 
-    def to_dict(self) -> dict:
-        return {
-            "base_frequency": self.base_frequency,
-            "amplitudes": self.amplitudes.tolist(),
-            "phase_offsets": self.phase_offsets.tolist(),
-            "means": self.means.tolist(),
-            "harmonics": list(self.harmonics),
-            "noise_std": self.noise_std,
-            "frames": self.frames,
-            "dt": self.dt,
-            "seed": self.seed,
-            "label": self.label,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SyntheticMotionSpec":
-        return cls(**data)
-
 
 def generate_synthetic(spec: SyntheticMotionSpec) -> Trajectory:
     """dim j, frame t: mean_j + sum_h amp_j*rel_h*sin(2*pi*(h*f*t*dt + off_j)) + noise."""
@@ -221,30 +198,3 @@ def split_corpus(trajectories: list[Trajectory], train_fraction: float = 0.8,
     train = [trajectories[i] for i in order[:n_train]]
     val = [trajectories[i] for i in order[n_train:]]
     return train, val
-
-
-def load_corpus(path: str | Path, dt: float | None = None) -> list[Trajectory]:
-    """Load a corpus from a JSON document.
-
-    Two layouts are accepted: a manifest listing CSV trajectory files
-    ({"d": ..., "dt": ..., "trajectories": [{"path": ..., "label": ...}]},
-    paths relative to the manifest) and a synthetic corpus
-    ({"families": [<motion spec>, ...]}) generated deterministically.
-    """
-    path = Path(path)
-    with path.open() as fh:
-        doc = json.load(fh)
-    if "families" in doc:
-        return [generate_synthetic(SyntheticMotionSpec.from_dict(f)) for f in doc["families"]]
-    if "trajectories" in doc:
-        d = int(doc["d"])
-        corpus_dt = float(doc.get("dt", dt or DEFAULT_DT))
-        out = []
-        for entry in doc["trajectories"]:
-            csv_path = path.parent / entry["path"]
-            out.append(load_csv(csv_path, d=d, dt=corpus_dt,
-                                has_header=bool(entry.get("header", False)),
-                                label=entry.get("label")))
-        return out
-    raise ValueError(f"{path}: expected a corpus manifest with 'trajectories' "
-                     f"or a synthetic spec with 'families'")

@@ -12,6 +12,7 @@ from fld.numerics import (
     atan2_phase_backward,
     elu,
     elu_backward,
+    ensure_finite,
     relu,
     relu_backward,
     softplus,
@@ -208,18 +209,31 @@ class TestBatchNorm1d:
         assert np.allclose(y, expected)
 
     def test_backward_matches_finite_differences(self):
+        self.check_backward_against_finite_differences("train", (4, 2, 8))
+
+    # (B, C) is the phase head's batch norm
+    @pytest.mark.parametrize("mode,shape", [("eval", (4, 2, 8)), ("train", (6, 2)),
+                                            ("eval", (6, 2))],
+                             ids=["eval-3d", "train-2d", "eval-2d"])
+    def test_backward_matches_finite_differences_by_mode_and_rank(self, mode, shape):
+        self.check_backward_against_finite_differences(mode, shape)
+
+    @staticmethod
+    def check_backward_against_finite_differences(mode, shape):
         rng = np.random.default_rng(8)
-        x = rng.normal(size=(4, 2, 8))
-        g = rng.normal(size=(4, 2, 8))
+        x = rng.normal(size=shape)
+        g = rng.normal(size=shape)
 
         def fresh():
             b = BatchNorm1d(2, "bn")
             b.gamma.value[:] = [1.3, 0.7]
             b.beta.value[:] = [0.2, -0.4]
+            b.running_mean[:] = [0.3, -0.2]
+            b.running_var[:] = [1.5, 0.6]
             return b
 
         bn = fresh()
-        y, cache = bn.backward_probe = bn.forward(x, mode="train")
+        y, cache = bn.forward(x, mode=mode)
         dx = bn.backward(g, cache)
 
         eps = 1e-6
@@ -227,24 +241,35 @@ class TestBatchNorm1d:
         for i in idx:
             xp = x.copy(); xp.reshape(-1)[i] += eps
             xm = x.copy(); xm.reshape(-1)[i] -= eps
-            lp = np.sum(fresh().forward(xp, mode="train")[0] * g)
-            lm = np.sum(fresh().forward(xm, mode="train")[0] * g)
+            lp = np.sum(fresh().forward(xp, mode=mode)[0] * g)
+            lm = np.sum(fresh().forward(xm, mode=mode)[0] * g)
             numeric = (lp - lm) / (2 * eps)
             assert abs(dx.reshape(-1)[i] - numeric) < 1e-6 * max(1.0, abs(numeric))
         # parameter grads
-        for pname, param in [("gamma", "gamma"), ("beta", "beta")]:
+        for param in ("gamma", "beta"):
             bnp = fresh()
-            _, c = bnp.forward(x, mode="train")
+            _, c = bnp.forward(x, mode=mode)
             bnp.backward(g, c)
             analytic = getattr(bnp, param).grad
             for j in range(2):
                 bp = fresh(); bm = fresh()
                 getattr(bp, param).value[j] += eps
                 getattr(bm, param).value[j] -= eps
-                lp = np.sum(bp.forward(x, mode="train")[0] * g)
-                lm = np.sum(bm.forward(x, mode="train")[0] * g)
+                lp = np.sum(bp.forward(x, mode=mode)[0] * g)
+                lm = np.sum(bm.forward(x, mode=mode)[0] * g)
                 numeric = (lp - lm) / (2 * eps)
                 assert abs(analytic[j] - numeric) < 1e-6 * max(1.0, abs(numeric))
+
+    def test_train_cache_does_not_hold_the_input(self):
+        # a conv hands batch norm a view of its longer inverse-FFT buffer;
+        # caching that view would keep the whole buffer alive until backward
+        rng = np.random.default_rng(5)
+        buffer = rng.normal(size=(4, 3, 12))
+        x = buffer[:, :, :8]
+        _, cache = BatchNorm1d(3, "bn").forward(x, mode="train")
+        arrays = [v for v in cache.values() if isinstance(v, np.ndarray)]
+        assert arrays
+        assert not any(np.shares_memory(a, buffer) for a in arrays)
 
 
 class TestLinear:
@@ -308,6 +333,19 @@ class TestActivations:
         assert y[1] == 0.0
         assert y[2] == 3.0
 
+    def test_elu_matches_branch_formula_at_edge_points(self):
+        x = np.array([-800.0, -50.0, -1e-300, -0.0, 0.0, 5e-324, 3.0])
+        y, cache = elu(x)
+        assert np.array_equal(y, np.where(x <= 0, np.expm1(np.minimum(x, 0)), x))
+        g = np.linspace(-2.0, 2.5, x.size)
+        dx = elu_backward(g, cache)
+        neg = x <= 0
+        assert np.array_equal(dx[~neg], g[~neg])
+        # y + 1 rounds exp(x) to the spacing of 1.0
+        eps = np.finfo(np.float64).eps
+        np.testing.assert_allclose(dx[neg], g[neg] * np.exp(x[neg]), rtol=eps,
+                                   atol=eps * np.max(np.abs(g)))
+
     def test_relu_values(self):
         y, _ = relu(np.array([-2.0, 3.0]))
         assert y[0] == 0.0 and y[1] == 3.0
@@ -335,6 +373,21 @@ class TestActivations:
             xm = x.copy(); xm[i] -= eps
             numeric = (np.sum(fn(xp)[0] * g) - np.sum(fn(xm)[0] * g)) / (2 * eps)
             assert abs(dx[i] - numeric) < 1e-5 * max(1.0, abs(numeric))
+
+
+class TestEnsureFinite:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [0, 7, 14])
+    def test_rejects_non_finite_anywhere(self, bad, where):
+        arr = np.linspace(-1.0, 1.0, 15)
+        arr[where] = bad
+        with pytest.raises(FloatingPointError, match="probe"):
+            ensure_finite(arr.reshape(3, 5), "probe")
+
+    @pytest.mark.parametrize("arr", [np.zeros((0, 3)), np.array([1.7e308, -1.7e308, 0.0])],
+                             ids=["empty", "near-max"])
+    def test_accepts_finite_and_empty(self, arr):
+        assert ensure_finite(arr, "probe") is arr
 
 
 class TestAtan2Phase:
