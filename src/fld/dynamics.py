@@ -144,8 +144,7 @@ def anchored_gate_loss(model: FLDModel, segments: np.ndarray) -> float:
     """Propagation loss of the earliest segment's encoding scored against
     the whole stack: the exact training loss with the earliest segment as
     anchor (shared code path)."""
-    total, _ = model.loss_and_grads(segments[None], mode="eval", want_grads=False,
-                                    anchor=segments[None, 0])
+    total, _ = model.loss_and_grads(segments[None], mode="eval", want_grads=False)
     return total
 
 

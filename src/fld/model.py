@@ -48,6 +48,52 @@ def wrap_phase(phi: np.ndarray) -> np.ndarray:
     return np.mod(np.asarray(phi, dtype=np.float64) + 0.5, 1.0) - 0.5
 
 
+# Every network here is a list of blocks (layer, batch norm or None,
+# activated). The activation is passed at each call, never stored in a
+# block, so a call runs the module attribute current at that time (the
+# traced benchmark swaps in wrappers).
+
+
+def blocks_forward(blocks: list, x: np.ndarray, act, mode: str = "eval"
+                   ) -> tuple[np.ndarray, list]:
+    """Run each block's layer, then its batch norm if any, then ``act`` if
+    activated. Returns (output, one (layer, batch norm, activation) cache
+    triple per block, None where a stage is absent)."""
+    caches = []
+    for layer, bn, activated in blocks:
+        x, c_layer = layer.forward(x)
+        c_bn = c_act = None
+        if bn is not None:
+            x, c_bn = bn.forward(x, mode)
+        if activated:
+            x, c_act = act(x)
+        caches.append((c_layer, c_bn, c_act))
+    return x, caches
+
+
+def blocks_backward(blocks: list, g: np.ndarray, caches: list, act_backward) -> np.ndarray:
+    """Gradient with respect to the input of :func:`blocks_forward`;
+    accumulates every block's parameter gradients."""
+    for (layer, bn, activated), (c_layer, c_bn, c_act) in zip(reversed(blocks),
+                                                              reversed(caches)):
+        if activated:
+            g = act_backward(g, c_act)
+        if bn is not None:
+            g = bn.backward(g, c_bn)
+        g = layer.backward(g, c_layer)
+    return g
+
+
+def block_parameters(blocks: list) -> list[Parameter]:
+    """Parameters of ``blocks`` in order, each layer's before its batch norm's."""
+    params = []
+    for layer, bn, _ in blocks:
+        params += layer.parameters()
+        if bn is not None:
+            params += bn.parameters()
+    return params
+
+
 @dataclass
 class FLDConfig:
     dims: int = 27              # state dimensions d
@@ -95,49 +141,51 @@ class FLDConfig:
 
 class FLDModel:
     """Encoder, FFT parameterization, sinusoidal latent reconstruction and
-    decoder. PAE is this model trained with horizon 0."""
+    decoder. PAE is this model trained with horizon 0.
+
+    ``encoder`` and ``decoder`` are block lists (see :func:`blocks_forward`)
+    of three Conv1d -> BatchNorm1d -> ELU blocks each, named
+    ``enc.conv{i}``/``enc.bn{i}`` and ``dec.conv{i}``/``dec.bn{i}``; these
+    convs feed batch norm and carry no bias. The decoder's output block
+    ``dec.conv2`` is a bare conv with bias, unless ``final_activation``
+    makes it a full block. The phase head (``phase.linear``, ``phase.bn``)
+    sits between them. Parameters, and so the checkpoint array directory,
+    come in that order: encoder, phase head, decoder.
+    """
 
     def __init__(self, config: FLDConfig, rng: np.random.Generator):
         self.config = config
         c, d, h, hid, k = (config.channels, config.dims, config.window,
                            config.hidden, config.kernel)
-        # layers feeding straight into batch norm carry no bias
-        self.enc_convs = [Conv1d(d, hid, k, rng, "enc.conv0", bias=False),
-                          Conv1d(hid, hid, k, rng, "enc.conv1", bias=False),
-                          Conv1d(hid, c, k, rng, "enc.conv2", bias=False)]
-        self.enc_bns = [BatchNorm1d(hid, "enc.bn0"), BatchNorm1d(hid, "enc.bn1"),
-                        BatchNorm1d(c, "enc.bn2")]
+
+        def block(part: str, i: int, n_in: int, n_out: int) -> tuple:
+            return (Conv1d(n_in, n_out, k, rng, f"{part}.conv{i}", bias=False),
+                    BatchNorm1d(n_out, f"{part}.bn{i}"), True)
+
+        self.encoder = [block("enc", 0, d, hid), block("enc", 1, hid, hid),
+                        block("enc", 2, hid, c)]
         self.phase_linear = PerChannelLinear(c, h, 2, rng, "phase.linear", bias=False)
         self.phase_bn = BatchNorm1d(2 * c, "phase.bn")
-        self.dec_convs = [Conv1d(c, hid, k, rng, "dec.conv0", bias=False),
-                          Conv1d(hid, hid, k, rng, "dec.conv1", bias=False),
-                          Conv1d(hid, d, k, rng, "dec.conv2",
-                                 bias=not config.final_activation)]
-        self.dec_bns = [BatchNorm1d(hid, "dec.bn0"), BatchNorm1d(hid, "dec.bn1")]
-        if config.final_activation:
-            self.dec_bns.append(BatchNorm1d(d, "dec.bn2"))
+        self.decoder = [block("dec", 0, c, hid), block("dec", 1, hid, hid),
+                        block("dec", 2, hid, d) if config.final_activation
+                        else (Conv1d(hid, d, k, rng, "dec.conv2"), None, False)]
 
     # -- bookkeeping ---------------------------------------------------
 
-    def parameters(self) -> list[Parameter]:
-        params = []
-        for conv, bn in zip(self.enc_convs, self.enc_bns):
-            params += conv.parameters() + bn.parameters()
-        params += self.phase_linear.parameters() + self.phase_bn.parameters()
-        for i, conv in enumerate(self.dec_convs):
-            params += conv.parameters()
-            if i < len(self.dec_bns):
-                params += self.dec_bns[i].parameters()
-        return params
+    def _blocks(self) -> list:
+        # the phase head reshapes between its linear and its batch norm, so
+        # it runs in phase(); as a block it serves the parameter walks only
+        return [*self.encoder, (self.phase_linear, self.phase_bn, False), *self.decoder]
 
-    def batchnorms(self) -> list[BatchNorm1d]:
-        return self.enc_bns + [self.phase_bn] + self.dec_bns
+    def parameters(self) -> list[Parameter]:
+        return block_parameters(self._blocks())
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         """All trainable values plus batch-norm running statistics by name."""
         arrays = {p.name: p.value for p in self.parameters()}
-        for bn in self.batchnorms():
-            arrays.update(bn.state_arrays())
+        for _, bn, _ in self._blocks():
+            if bn is not None:
+                arrays.update(bn.state_arrays())
         return arrays
 
     # -- encoder / decoder ----------------------------------------------
@@ -149,49 +197,17 @@ class FLDModel:
         if x.shape[1] != self.config.dims or x.shape[2] != self.config.window:
             raise ValueError(f"expected segments (batch, {self.config.dims}, "
                              f"{self.config.window}), got {x.shape}")
-        caches = []
-        for conv, bn in zip(self.enc_convs, self.enc_bns):
-            x, c_conv = conv.forward(x)
-            x, c_bn = bn.forward(x, mode)
-            x, c_act = elu(x)
-            caches.append((c_conv, c_bn, c_act))
-        return x, caches
+        return blocks_forward(self.encoder, x, elu, mode)
 
     def encode_backward(self, grad_z: np.ndarray, caches: list) -> np.ndarray:
-        g = grad_z
-        for conv, bn, (c_conv, c_bn, c_act) in zip(reversed(self.enc_convs),
-                                                   reversed(self.enc_bns),
-                                                   reversed(caches)):
-            g = elu_backward(g, c_act)
-            g = bn.backward(g, c_bn)
-            g = conv.backward(g, c_conv)
-        return g
+        return blocks_backward(self.encoder, grad_z, caches, elu_backward)
 
     def decode(self, latent: np.ndarray, mode: str = "eval") -> tuple[np.ndarray, list]:
         x = np.asarray(latent, dtype=np.float64)
-        if x.ndim == 2:
-            x = x[None]
-        caches = []
-        for i, conv in enumerate(self.dec_convs):
-            x, c_conv = conv.forward(x)
-            last = i == len(self.dec_convs) - 1
-            if not last or self.config.final_activation:
-                x, c_bn = self.dec_bns[i].forward(x, mode)
-                x, c_act = elu(x)
-                caches.append((c_conv, c_bn, c_act))
-            else:
-                caches.append((c_conv, None, None))
-        return x, caches
+        return blocks_forward(self.decoder, x[None] if x.ndim == 2 else x, elu, mode)
 
     def decode_backward(self, grad_out: np.ndarray, caches: list) -> np.ndarray:
-        g = grad_out
-        for i in reversed(range(len(self.dec_convs))):
-            c_conv, c_bn, c_act = caches[i]
-            if c_bn is not None:
-                g = elu_backward(g, c_act)
-                g = self.dec_bns[i].backward(g, c_bn)
-            g = self.dec_convs[i].backward(g, c_conv)
-        return g
+        return blocks_backward(self.decoder, grad_out, caches, elu_backward)
 
     # -- parameterization -------------------------------------------------
 
@@ -348,10 +364,11 @@ class FLDModel:
         future segment i) over a batch of training items.
 
         ``items`` is (B, N+1, d, H): slot i is the i-step future segment of
-        the anchor. The anchor defaults to slot 0 (the training layout); the
-        gate passes the buffered targets with the earliest segment as the
-        explicit anchor. Returns (total loss, per-horizon losses); parameter
-        gradients are accumulated when ``want_grads``.
+        the anchor, which is slot 0 unless ``anchor`` is given; training and
+        the gate both use slot 0. ``alpha``, ``horizon`` and ``anchor``
+        override the config's decay, the horizon and the anchor; perfbench's
+        oracle test checks the loss with them. Returns (total loss, per-horizon
+        losses); parameter gradients are accumulated when ``want_grads``.
         """
         items = np.asarray(items, dtype=np.float64)
         if items.ndim != 4:
@@ -445,19 +462,18 @@ class VAEBaseline:
         self.config = config
         n_in = config.dims * config.window
         sizes = [n_in, *config.hidden]
-        self.enc = [Linear(sizes[i], sizes[i + 1], rng, f"vae.enc{i}")
-                    for i in range(len(sizes) - 1)]
+        self.encoder = [(Linear(sizes[i], sizes[i + 1], rng, f"vae.enc{i}"), None, True)
+                        for i in range(len(sizes) - 1)]
         self.mean_head = Linear(sizes[-1], config.latent, rng, "vae.mean")
         self.std_head = Linear(sizes[-1], config.latent, rng, "vae.std")
         dec_sizes = [config.latent, *reversed(config.hidden), n_in]
-        self.dec = [Linear(dec_sizes[i], dec_sizes[i + 1], rng, f"vae.dec{i}")
-                    for i in range(len(dec_sizes) - 1)]
+        n_dec = len(dec_sizes) - 1
+        self.decoder = [(Linear(dec_sizes[i], dec_sizes[i + 1], rng, f"vae.dec{i}"),
+                         None, i < n_dec - 1) for i in range(n_dec)]
 
     def parameters(self) -> list[Parameter]:
-        params = []
-        for layer in [*self.enc, self.mean_head, self.std_head, *self.dec]:
-            params += layer.parameters()
-        return params
+        return (block_parameters(self.encoder) + self.mean_head.parameters()
+                + self.std_head.parameters() + block_parameters(self.decoder))
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {p.name: p.value for p in self.parameters()}
@@ -467,14 +483,7 @@ class VAEBaseline:
         """Returns (reconstruction, mean, std, cache). Sampling happens only
         when an rng is supplied (training); otherwise the mean is decoded."""
         x = np.asarray(segments, dtype=np.float64)
-        batch = x.shape[0]
-        flat = x.reshape(batch, -1)
-        h = flat
-        enc_caches = []
-        for layer in self.enc:
-            h, c_lin = layer.forward(h)
-            h, c_act = relu(h)
-            enc_caches.append((c_lin, c_act))
+        h, enc_caches = blocks_forward(self.encoder, x.reshape(x.shape[0], -1), relu)
         mean, c_mean = self.mean_head.forward(h)
         pre_std, c_stdlin = self.std_head.forward(h)
         std, c_soft = softplus(pre_std)
@@ -484,19 +493,10 @@ class VAEBaseline:
         else:
             noise = np.zeros_like(mean)
             latent = mean
-        g = latent
-        dec_caches = []
-        for i, layer in enumerate(self.dec):
-            g, c_lin = layer.forward(g)
-            if i < len(self.dec) - 1:
-                g, c_act = relu(g)
-            else:
-                c_act = None
-            dec_caches.append((c_lin, c_act))
-        recon = g.reshape(x.shape)
+        out, dec_caches = blocks_forward(self.decoder, latent, relu)
+        recon = out.reshape(x.shape)
         cache = {"enc": enc_caches, "mean": c_mean, "stdlin": c_stdlin,
-                 "soft": c_soft, "dec": dec_caches, "noise": noise,
-                 "mean_val": mean, "std_val": std, "x": x}
+                 "soft": c_soft, "dec": dec_caches, "noise": noise, "x": x}
         return recon, mean, std, cache
 
     def loss_and_grads(self, segments: np.ndarray, rng: np.random.Generator | None,
@@ -513,21 +513,13 @@ class VAEBaseline:
         total = mse + self.config.beta * kl
         if want_grads:
             g = (2.0 / diff.size) * diff
-            g = g.reshape(batch, -1)
-            for i in reversed(range(len(self.dec))):
-                c_lin, c_act = cache["dec"][i]
-                if c_act is not None:
-                    g = relu_backward(g, c_act)
-                g = self.dec[i].backward(g, c_lin)
+            g = blocks_backward(self.decoder, g.reshape(batch, -1), cache["dec"], relu_backward)
             d_mean = g + self.config.beta / batch * mean
             d_std = g * cache["noise"] + self.config.beta / batch * (std - 1.0 / std)
             d_pre = softplus_backward(d_std, cache["soft"])
             gh = self.mean_head.backward(d_mean, cache["mean"])
             gh += self.std_head.backward(d_pre, cache["stdlin"])
-            for i in reversed(range(len(self.enc))):
-                c_lin, c_act = cache["enc"][i]
-                gh = relu_backward(gh, c_act)
-                gh = self.enc[i].backward(gh, c_lin)
+            blocks_backward(self.encoder, gh, cache["enc"], relu_backward)
         return total, mse, kl
 
     item_horizon = 0  # training items carry the segment alone
@@ -565,28 +557,20 @@ class FFBaseline:
         self.config = config
         n = config.dims * config.window
         sizes = [n, *config.hidden, n]
-        self.layers = [Linear(sizes[i], sizes[i + 1], rng, f"ff.lin{i}")
-                       for i in range(len(sizes) - 1)]
+        n_layers = len(sizes) - 1
+        self.blocks = [(Linear(sizes[i], sizes[i + 1], rng, f"ff.lin{i}"), None, i < n_layers - 1)
+                       for i in range(n_layers)]
 
     def parameters(self) -> list[Parameter]:
-        return [p for layer in self.layers for p in layer.parameters()]
+        return block_parameters(self.blocks)
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {p.name: p.value for p in self.parameters()}
 
     def forward(self, segments: np.ndarray) -> tuple[np.ndarray, list]:
         x = np.asarray(segments, dtype=np.float64)
-        batch = x.shape[0]
-        h = x.reshape(batch, -1)
-        caches = []
-        for i, layer in enumerate(self.layers):
-            h, c_lin = layer.forward(h)
-            if i < len(self.layers) - 1:
-                h, c_act = elu(h)
-            else:
-                c_act = None
-            caches.append((c_lin, c_act))
-        return h.reshape(x.shape), caches
+        out, caches = blocks_forward(self.blocks, x.reshape(x.shape[0], -1), elu)
+        return out.reshape(x.shape), caches
 
     def predict(self, segments: np.ndarray, horizons: np.ndarray | list[int]) -> np.ndarray:
         """Composed one-step predictions for each step in ``horizons``.
@@ -611,11 +595,7 @@ class FFBaseline:
         loss = float(np.mean(diff ** 2))
         if want_grads:
             g = (2.0 / diff.size) * diff.reshape(diff.shape[0], -1)
-            for i in reversed(range(len(self.layers))):
-                c_lin, c_act = caches[i]
-                if c_act is not None:
-                    g = elu_backward(g, c_act)
-                g = self.layers[i].backward(g, c_lin)
+            blocks_backward(self.blocks, g, caches, elu_backward)
         return loss
 
     item_horizon = 1  # training items carry the segment and its successor

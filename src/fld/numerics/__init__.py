@@ -1,9 +1,7 @@
 """Minimal differentiable-computation toolkit: float64 layers with
-hand-derived backward passes, a real FFT with its backward rule, Adam, and a
-finite-difference gradient checker."""
+hand-derived backward passes, a real FFT with its backward rule, and Adam."""
 
 from .fourier import rfft, rfft_backward
-from .gradcheck import gradient_check
 from .layers import (
     BatchNorm1d,
     Conv1d,
@@ -34,7 +32,6 @@ __all__ = [
     "elu",
     "elu_backward",
     "ensure_finite",
-    "gradient_check",
     "relu",
     "relu_backward",
     "rfft",

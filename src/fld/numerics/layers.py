@@ -175,6 +175,7 @@ class BatchNorm1d:
 
     def __init__(self, num_features: int, name: str, eps: float = 1e-5, momentum: float = 0.1):
         self.num_features = num_features
+        self.name = name
         self.eps = eps
         self.momentum = momentum
         self.gamma = Parameter(f"{name}.gamma", np.ones(num_features))
@@ -186,8 +187,8 @@ class BatchNorm1d:
         return [self.gamma, self.beta]
 
     def state_arrays(self) -> dict[str, np.ndarray]:
-        return {f"{self.gamma.name[:-6]}.running_mean": self.running_mean,
-                f"{self.gamma.name[:-6]}.running_var": self.running_var}
+        return {f"{self.name}.running_mean": self.running_mean,
+                f"{self.name}.running_var": self.running_var}
 
     def _axes_and_shape(self, x: np.ndarray) -> tuple[tuple[int, ...], tuple[int, ...]]:
         if x.ndim == 2:

@@ -1,4 +1,4 @@
-"""Central-difference verification of hand-derived gradients."""
+"""Central-difference oracle for the tests: checks hand-derived gradients."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ from typing import Callable
 
 import numpy as np
 
-from .layers import Parameter
+from fld.numerics import Parameter
 
 
 def gradient_check(loss_fn: Callable[[], float], params: list[Parameter],

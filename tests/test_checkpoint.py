@@ -12,8 +12,8 @@ from fld.model import FLDConfig, FLDModel
 from fld.signals import NormalizationStats
 
 
-def make_checkpoint(seed=0):
-    cfg = FLDConfig(dims=3, channels=2, window=9, horizon=2, hidden=4)
+def make_checkpoint(seed=0, **overrides):
+    cfg = FLDConfig(dims=3, channels=2, window=9, horizon=2, hidden=4, **overrides)
     model = FLDModel(cfg, np.random.default_rng(seed))
     stats = NormalizationStats(np.arange(3.0), np.ones(3) * 2.0)
     return checkpoint_from_model(model, "fld", stats, seed=seed, iteration=7), model
@@ -42,6 +42,25 @@ def test_build_model_reproduces_forward(tmp_path):
     a = model.predict(x, [0, 1])
     b = rebuilt.predict(x, [0, 1])
     assert np.array_equal(a, b)
+
+
+def test_final_activation_output_block_round_trips(tmp_path):
+    ckpt, model = make_checkpoint(seed=4, final_activation=True)
+    assert "dec.conv2.weight" in ckpt.arrays and "dec.conv2.bias" not in ckpt.arrays
+    assert {"dec.bn2.gamma", "dec.bn2.beta", "dec.bn2.running_mean",
+            "dec.bn2.running_var"} <= set(ckpt.arrays)
+    # one train-mode pass moves the running statistics off their defaults
+    rng = np.random.default_rng(2)
+    model.loss_and_grads(rng.normal(size=(3, 3, 3, 9)), mode="train")
+    assert not np.array_equal(model.state_arrays()["dec.bn2.running_var"], np.ones(3))
+    model.state_arrays()["dec.bn2.gamma"][...] = 50.0  # outputs well below -1 before ELU
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(checkpoint_from_model(model, "fld", ckpt.normalization, 4, 1), path)
+    rebuilt = build_model(load_checkpoint(path))
+    x = rng.normal(size=(2, 3, 9))
+    out = model.predict(x, [0, 2])
+    assert np.array_equal(out, rebuilt.predict(x, [0, 2]))
+    assert -1.0 < out.min() < -0.5  # the output block ends in ELU
 
 
 def test_truncated_file_rejected(tmp_path):

@@ -11,8 +11,9 @@ from fld.model import (
     representation_param_count,
     wrap_phase,
 )
-from fld.numerics import Adam, gradient_check
+from fld.numerics import Adam
 from fourier_oracles import naive_dft
+from gradcheck import gradient_check
 
 
 def dft_phase_oracle(curve, bin_index, window, dt, freq):
@@ -229,17 +230,23 @@ class TestLoss:
         with pytest.raises(ValueError):
             model.loss_and_grads(items, horizon=model.config.horizon + 1)
 
-    def test_full_gradient_check_tiny_config(self):
-        model = tiny_model(seed=1, hidden=8)
+    def gradient_error(self, **overrides):
+        model = tiny_model(seed=1, hidden=8, **overrides)
         items = self.make_items(model, batch=3, seed=2)
 
         def loss():
             total, _ = model.loss_and_grads(items, mode="train")
             return total
 
-        err = gradient_check(loss, model.parameters(), h=1e-6, sample=4,
-                             rng=np.random.default_rng(0))
-        assert err < 1e-5
+        return gradient_check(loss, model.parameters(), h=1e-6, sample=4,
+                              rng=np.random.default_rng(0))
+
+    def test_full_gradient_check_tiny_config(self):
+        assert self.gradient_error() < 1e-5
+
+    def test_full_gradient_check_with_final_activation(self):
+        # the decoder's output block is conv -> batch norm -> ELU here
+        assert self.gradient_error(final_activation=True) < 1e-5
 
 
 class TestVAE:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from fld.numerics import Adam, Parameter, gradient_check
+from fld.numerics import Adam, Parameter
+from gradcheck import gradient_check
 
 
 def adam_oracle(grads, lr, beta1=0.9, beta2=0.999, eps=1e-8, wd=0.0, x0=0.0):
