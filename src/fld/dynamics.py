@@ -4,13 +4,15 @@ interpolation, and the online tracking-target gate with fallback.
 Encoding and decoding go through ``FLDModel.analyze`` and
 ``FLDModel.render``, the same maps the training loss uses.
 
-The gate consumes a stream of trajectory segments through an input buffer
-of horizon + 1 entries (so every prediction step 0..N has ground truth).
-Each step ``gate_step`` receives the stacked full buffer, or None while the
-buffer is not full (warm-up, or after a gap in the input). With a full
-buffer it either re-encodes the latent state from fresh input (accepted)
-or falls back to propagating the latent dynamics (rejected); with None it
-always propagates (no input). The emitted tracking frame is always decoded
+The gate consumes a stream of frames through a window of the newest H+N
+frames, which holds the N+1 segments of one item (an anchor segment and
+its N successors, so every prediction step 0..N has ground truth), cut by
+the same ``segment_view`` that calibration and training slice items with.
+Each step ``gate_step`` receives that item, or None while the window is
+not full (warm-up, or after a gap in the input). With an item it either
+re-encodes the latent state from fresh input (accepted) or falls back to
+propagating the latent dynamics (rejected); with None it always
+propagates (no input). The emitted tracking frame is always decoded
 from the state that results, so under fallback the emitted stream is the
 synthesis rollout of the propagated state, to rounding.
 """
@@ -25,7 +27,7 @@ import numpy as np
 
 from .checkpoint import ModelCheckpoint, build_fld_model
 from .model import FLDModel, wrap_phase
-from .signals import Trajectory, segment_view
+from .signals import ItemPool, Trajectory, check_anchor_stride, segment_view
 from .stats import quantile_midpoint
 
 
@@ -126,10 +128,6 @@ class GateConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "GateConfig":
-        return cls(**data)
-
 
 @dataclass
 class GateDecision:
@@ -151,22 +149,17 @@ def anchored_gate_loss(model: FLDModel, segments: np.ndarray) -> float:
 def calibrate_threshold(checkpoint: ModelCheckpoint, corpus: list[Trajectory],
                         quantile: float = 0.99, anchor_stride: int = 5) -> GateConfig:
     """Gate threshold: the given quantile (midpoint convention) of the
-    per-anchor propagation loss over the training corpus."""
+    propagation loss of every ``anchor_stride``-th item of each trajectory
+    in the training corpus."""
+    check_anchor_stride(anchor_stride)
     model = build_fld_model(checkpoint, "gate calibration")
-    cfg = model.config
-    n = cfg.horizon
-    losses = []
+    pool = ItemPool([checkpoint.normalization.apply(t.frames) for t in corpus],
+                    model.config.window, model.config.horizon)
+    losses = [anchored_gate_loss(model, pool.item(k))
+              for k in np.flatnonzero(pool.anchors[:, 1] % anchor_stride == 0)]
     hasher = hashlib.sha256()
-    for traj in corpus:
-        if len(traj) < cfg.window + n:
-            continue
-        frames = checkpoint.normalization.apply(traj.frames)
-        hasher.update(np.ascontiguousarray(traj.frames).tobytes())
-        view = segment_view(frames, cfg.window)
-        for wi in range(0, view.shape[0] - n, anchor_stride):
-            losses.append(anchored_gate_loss(model, view[wi:wi + n + 1]))
-    if not losses:
-        raise ValueError("corpus has no anchor long enough to calibrate the gate")
+    for ti in pool.trajectories:
+        hasher.update(np.ascontiguousarray(corpus[ti].frames).tobytes())
     eps = quantile_midpoint(np.array(losses), quantile)
     return GateConfig(epsilon=eps, quantile=quantile,
                       corpus_hash=hasher.hexdigest()[:16],
@@ -177,8 +170,8 @@ def gate_step(segments: np.ndarray | None, state: LatentRollState, gate: GateCon
               model: FLDModel, normalization) -> GateDecision:
     """One decision step of the online tracking gate.
 
-    ``segments`` is the full input buffer stacked oldest first, (N+1, d, H),
-    or None when no full buffer exists. None: no input, fall back to
+    ``segments`` is the item in the runner's full window, (N+1, d, H) oldest
+    first, or None when the window is not full. None: no input, fall back to
     propagation. Otherwise score the earliest segment's propagation against
     the buffered stream; accept (and re-encode phase and parameterization
     from the newest segment) only when the loss is within the calibrated
@@ -203,11 +196,11 @@ def gate_step(segments: np.ndarray | None, state: LatentRollState, gate: GateCon
 
 
 class GateRunner:
-    """Frame-by-frame driver: accumulates raw frames, forms normalized
-    segments into an input buffer of the newest horizon + 1, and emits one
-    ``gate_step`` decision per frame. While the buffer is not full (warm-up,
-    or after a None frame empties it) the gate gets None and the decision
-    is a ``no_input`` fallback."""
+    """Frame-by-frame driver: keeps the newest H+N normalized frames and
+    emits one ``gate_step`` decision per frame. Once the window is full the
+    gate gets its N+1 segments, the item anchored H+N-1 frames back; while
+    it is not full (warm-up, or after a None frame empties it) the gate gets
+    None and the decision is a ``no_input`` fallback."""
 
     def __init__(self, checkpoint: ModelCheckpoint, gate: GateConfig,
                  initial_state: LatentRollState | None = None):
@@ -215,8 +208,7 @@ class GateRunner:
         self.normalization = checkpoint.normalization
         self.gate = gate
         cfg = self.model.config
-        self.buffer: deque[np.ndarray] = deque(maxlen=cfg.horizon + 1)
-        self._frames: deque[np.ndarray] = deque(maxlen=cfg.window)
+        self.frames: deque[np.ndarray] = deque(maxlen=cfg.window + cfg.horizon)
         if initial_state is None:
             c = cfg.channels
             initial_state = LatentRollState(np.zeros(c), np.zeros(c),
@@ -224,17 +216,20 @@ class GateRunner:
         self.state = initial_state
 
     def step(self, frame: np.ndarray | None) -> GateDecision:
-        """Advance one step with a raw (denormalized) frame, or None for
-        "no user input this step"."""
+        """Advance one step with a raw (denormalized) frame of shape (dims,),
+        or None for "no user input this step". A malformed or non-finite
+        frame raises ValueError and leaves the runner unchanged."""
+        cfg = self.model.config
         if frame is None:
-            self.buffer.clear()
-            self._frames.clear()
+            self.frames.clear()
         else:
-            self._frames.append(self.normalization.apply(frame))
-            if len(self._frames) == self.model.config.window:
-                self.buffer.append(np.stack(self._frames, axis=1))
-        full = len(self.buffer) == self.buffer.maxlen
-        decision = gate_step(np.stack(self.buffer) if full else None, self.state,
-                             self.gate, self.model, self.normalization)
+            frame = np.asarray(frame, dtype=np.float64)
+            if frame.shape != (cfg.dims,) or not np.all(np.isfinite(frame)):
+                raise ValueError(f"gate frame must be {cfg.dims} finite values, "
+                                 f"got shape {frame.shape}")
+            self.frames.append(self.normalization.apply(frame))
+        full = len(self.frames) == self.frames.maxlen
+        segments = segment_view(np.stack(self.frames), cfg.window) if full else None
+        decision = gate_step(segments, self.state, self.gate, self.model, self.normalization)
         self.state = decision.state
         return decision

@@ -164,7 +164,7 @@ class FLDModel:
 
         self.encoder = [block("enc", 0, d, hid), block("enc", 1, hid, hid),
                         block("enc", 2, hid, c)]
-        self.phase_linear = PerChannelLinear(c, h, 2, rng, "phase.linear", bias=False)
+        self.phase_linear = PerChannelLinear(c, h, 2, rng, "phase.linear")
         self.phase_bn = BatchNorm1d(2 * c, "phase.bn")
         self.decoder = [block("dec", 0, c, hid), block("dec", 1, hid, hid),
                         block("dec", 2, hid, d) if config.final_activation

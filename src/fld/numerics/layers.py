@@ -282,20 +282,18 @@ class Linear:
 
 
 class PerChannelLinear:
-    """Independent affine map per channel: (B, C, H) -> (B, C, O)."""
+    """Independent linear map per channel, no bias: (B, C, H) -> (B, C, O)."""
 
     def __init__(self, channels: int, in_features: int, out_features: int,
-                 rng: np.random.Generator, name: str, bias: bool = True):
+                 rng: np.random.Generator, name: str):
         self.channels = channels
         self.in_features = in_features
         self.out_features = out_features
         self.weight = Parameter(f"{name}.weight",
                                 _uniform_init(rng, (channels, out_features, in_features), in_features))
-        self.bias = Parameter(f"{name}.bias",
-                              _uniform_init(rng, (channels, out_features), in_features)) if bias else None
 
     def parameters(self) -> list[Parameter]:
-        return [self.weight] + ([self.bias] if self.bias is not None else [])
+        return [self.weight]
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, dict]:
         x = np.asarray(x, dtype=np.float64)
@@ -303,16 +301,12 @@ class PerChannelLinear:
             raise ValueError(
                 f"expected input (batch, {self.channels}, {self.in_features}), got {x.shape}")
         y = np.einsum("bch,coh->bco", x, self.weight.value)
-        if self.bias is not None:
-            y = y + self.bias.value
         ensure_finite(y, "per-channel linear output")
         return y, {"x": x}
 
     def backward(self, grad_out: np.ndarray, cache: dict) -> np.ndarray:
         g = np.asarray(grad_out, dtype=np.float64)
         self.weight.grad += np.einsum("bco,bch->coh", g, cache["x"])
-        if self.bias is not None:
-            self.bias.grad += g.sum(axis=0)
         return np.einsum("bco,coh->bch", g, self.weight.value)
 
 

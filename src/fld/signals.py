@@ -3,7 +3,10 @@ synthetic quasi-periodic corpus generator.
 
 A trajectory is a (frames, dims) float64 array with a fixed step time.
 Windows are (dims, H) segments whose columns run oldest to newest, so the
-last column is the frame the window is anchored at.
+last column is the frame the window is anchored at. ``ItemPool`` is the one
+item rule: an item is an anchor segment with its N successors, N+1 windows
+cut from H+N consecutive frames. Training, gate calibration and the online
+gate all slice items through it or through the same ``segment_view``.
 """
 
 from __future__ import annotations
@@ -130,18 +133,46 @@ def segment_view(frames: np.ndarray, window: int) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(frames, window, axis=0)
 
 
-def window(trajectory: Trajectory, window_len: int, stride: int = 1
-           ) -> tuple[np.ndarray, np.ndarray]:
-    """Sliding segments and the frame index each one is anchored at.
+def check_anchor_stride(anchor_stride: int) -> None:
+    if anchor_stride < 1:
+        raise ValueError(f"anchor_stride must be >= 1, got {anchor_stride}")
 
-    Returns (segments (n, d, H), anchor frame indices (n,)); segment k covers
-    frames [k*stride, k*stride + H) and is anchored at its newest frame.
+
+class ItemPool:
+    """Every item of a corpus of normalized trajectories: anchor segment k
+    with its ``horizon`` successors, (N+1, d, H), sliced without copying.
+
+    ``anchors`` holds (view, first frame) per item; ``trajectories`` the
+    corpus indices kept, those with at least window + horizon frames.
     """
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
-    view = segment_view(trajectory.frames, window_len)
-    starts = np.arange(0, view.shape[0], stride)
-    return view[starts].copy(), starts + window_len - 1
+
+    def __init__(self, frames_list: list[np.ndarray], window: int, horizon: int):
+        self.horizon = horizon
+        self.views = []
+        self.trajectories = []
+        anchors = []
+        for ti, frames in enumerate(frames_list):
+            if frames.shape[0] < window + horizon:
+                continue
+            view = segment_view(frames, window)
+            anchors.extend((len(self.views), wi) for wi in range(view.shape[0] - horizon))
+            self.views.append(view)
+            self.trajectories.append(ti)
+        if not anchors:
+            raise ValueError(f"corpus has no trajectory long enough for window "
+                             f"{window} plus horizon {horizon}")
+        self.anchors = np.array(anchors, dtype=np.int64)
+
+    def __len__(self) -> int:
+        return len(self.anchors)
+
+    def item(self, k: int) -> np.ndarray:
+        vi, wi = self.anchors[k]
+        return self.views[vi][wi:wi + self.horizon + 1]
+
+    def gather(self, ids: np.ndarray) -> np.ndarray:
+        """(B, N+1, d, H) copy of the items ``ids``."""
+        return np.stack([self.item(k) for k in ids])
 
 
 @dataclass

@@ -25,8 +25,10 @@ from .model import FLDModel
 from .numerics import Adam
 from .signals import (
     EVAL_GROUPS_27,
+    ItemPool,
     NormalizationStats,
     Trajectory,
+    check_anchor_stride,
     fit_normalization,
     segment_view,
 )
@@ -59,39 +61,6 @@ class TrainResult:
     history: dict[str, np.ndarray]
 
 
-class _ItemPool:
-    """Anchor index over normalized trajectories; gathers (B, N+1, d, H)
-    batches of anchor-plus-future segments without materializing them all."""
-
-    def __init__(self, frames_list: list[np.ndarray], window: int, horizon: int):
-        self.horizon = horizon
-        self.views = []
-        anchors = []
-        for ti, frames in enumerate(frames_list):
-            if frames.shape[0] < window + horizon:
-                continue
-            view = segment_view(frames, window)
-            self.views.append(view)
-            vi = len(self.views) - 1
-            n = view.shape[0] - horizon
-            anchors.extend((vi, wi) for wi in range(n))
-        if not anchors:
-            raise ValueError(f"corpus has no trajectory long enough for window "
-                             f"{window} plus horizon {horizon}")
-        self.anchors = np.array(anchors, dtype=np.int64)
-
-    def __len__(self) -> int:
-        return len(self.anchors)
-
-    def gather(self, ids: np.ndarray) -> np.ndarray:
-        picked = self.anchors[ids]
-        first = self.views[picked[0, 0]]
-        out = np.empty((len(ids), self.horizon + 1) + first.shape[1:])
-        for row, (vi, wi) in enumerate(picked):
-            out[row] = self.views[vi][wi:wi + self.horizon + 1]
-        return out
-
-
 def train(model_kind: str, corpus: list[Trajectory], train_config: TrainConfig,
           model_config=None, normalization: NormalizationStats | None = None
           ) -> TrainResult:
@@ -120,7 +89,7 @@ def train(model_kind: str, corpus: list[Trajectory], train_config: TrainConfig,
     stats = normalization if normalization is not None else fit_normalization(corpus)
     frames = [stats.apply(t.frames) for t in corpus]
     model = model_cls(model_config, rng)
-    pool = _ItemPool(frames, model_config.window, model.item_horizon)
+    pool = ItemPool(frames, model_config.window, model.item_horizon)
 
     opt = Adam(model.parameters(), lr=train_config.lr,
                weight_decay=train_config.weight_decay)
@@ -200,6 +169,7 @@ def evaluate_prediction(checkpoints: dict[str, ModelCheckpoint],
     """Per-horizon relative prediction error for each checkpoint on one
     held-out trajectory. Anchors are subsampled every ``anchor_stride``
     frames; predictions and targets are compared in normalized space."""
+    check_anchor_stride(anchor_stride)
     horizons = np.asarray(sorted(int(h) for h in horizons))
     if horizons.size == 0 or horizons[0] < 0:
         raise ValueError("need at least one non-negative horizon")
@@ -243,6 +213,7 @@ def _strided_params(model: FLDModel, frames_normed: np.ndarray, anchor_stride: i
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(phi, f, a, b), each (n, c), of every ``anchor_stride``-th segment of a
     normalized trajectory."""
+    check_anchor_stride(anchor_stride)
     view = segment_view(frames_normed, model.config.window)
     ids = np.arange(0, view.shape[0], anchor_stride)
     chunks = [model.analyze(view[ids[start:start + _ANALYZE_CHUNK]])[:4]

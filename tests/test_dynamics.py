@@ -16,9 +16,15 @@ from fld.dynamics import (
     synthesize,
 )
 from fld.model import FLDConfig, VAEConfig, wrap_phase
-from fld.signals import SyntheticMotionSpec, generate_synthetic, segment_view
+from fld.signals import ItemPool, SyntheticMotionSpec, generate_synthetic, segment_view
 from fld.stats import quantile_midpoint
-from fld.training import TrainConfig, export_latent_manifold, quasi_constancy_report, train
+from fld.training import (
+    TrainConfig,
+    evaluate_prediction,
+    export_latent_manifold,
+    quasi_constancy_report,
+    train,
+)
 
 TINY = dict(dims=3, channels=2, window=16, horizon=3, dt=0.02, hidden=8)
 
@@ -73,17 +79,85 @@ def test_calibrated_epsilon_is_quantile_of_strided_anchor_losses(fld_checkpoint)
     assert gate.epsilon == quantile_midpoint(np.array(losses), 0.9)
 
 
+@pytest.mark.parametrize("entry", [
+    lambda ck, s: calibrate_threshold(ck, corpus(), anchor_stride=s),
+    lambda ck, s: evaluate_prediction({"fld": ck}, corpus(1)[0], [0, 1], anchor_stride=s),
+    lambda ck, s: export_latent_manifold(ck, corpus(), anchor_stride=s),
+    lambda ck, s: quasi_constancy_report(ck, corpus(), anchor_stride=s),
+], ids=["calibration", "prediction", "manifold", "quasi-constancy"])
+@pytest.mark.parametrize("stride", [0, -2])
+def test_anchor_stride_below_one_rejected(fld_checkpoint, entry, stride):
+    with pytest.raises(ValueError, match=f"^anchor_stride must be >= 1, got {stride}$"):
+        entry(fld_checkpoint, stride)
+
+
+def test_calibration_rejects_a_corpus_without_a_full_item(fld_checkpoint):
+    # window 16 plus horizon 3 needs 19 frames
+    with pytest.raises(ValueError, match="no trajectory long enough for window 16 plus horizon 3"):
+        calibrate_threshold(fld_checkpoint, corpus(frames=18))
+
+
+def test_gate_scores_exactly_the_calibration_item(fld_checkpoint):
+    runner = GateRunner(fld_checkpoint, GateConfig(epsilon=1.0))
+    cfg = runner.model.config
+    frames = corpus(1, frames=40)[0].frames
+    pool = ItemPool([fld_checkpoint.normalization.apply(frames)], cfg.window, cfg.horizon)
+    scored = [(t, d.loss) for t, d in enumerate(map(runner.step, frames)) if d.loss is not None]
+    assert [t for t, _ in scored] == list(range(cfg.window + cfg.horizon - 1, len(frames)))
+    for t, loss in scored:
+        k = t - (cfg.window + cfg.horizon - 1)
+        assert loss == anchored_gate_loss(runner.model, pool.item(k))
+
+
+def decisions_of(runner, frames):
+    return [(d.verdict, d.loss, d.state.step, *(getattr(d.state, key).tobytes()
+             for key in ("phi", "freq", "amp", "offset")), d.target_frame.tobytes())
+            for d in map(runner.step, frames)]
+
+
+def test_runner_rejects_malformed_frames_and_keeps_its_window(fld_checkpoint):
+    frames = corpus(1, frames=45)[0].frames
+    dims = frames.shape[1]
+    clean = GateRunner(fld_checkpoint, GateConfig(epsilon=1.0))
+    probed = GateRunner(fld_checkpoint, GateConfig(epsilon=1.0))
+    bad_frames = [np.float64(0.5), np.zeros(dims + 1), np.r_[np.nan, np.zeros(dims - 1)],
+                  np.r_[np.zeros(dims - 1), np.inf]]
+    for bad in bad_frames:
+        with pytest.raises(ValueError, match="gate frame"):
+            probed.step(bad)
+    split = 25  # mid-stream: a bad frame taken in would be scored, then sit in the anchor
+    want = decisions_of(clean, frames)
+    got = decisions_of(probed, frames[:split])
+    with pytest.raises(ValueError, match="gate frame"):
+        probed.step(np.full(dims, np.nan))
+    got += decisions_of(probed, frames[split:])
+    assert got == want
+
+
+def test_fallback_stream_is_the_synthesis_rollout(fld_checkpoint):
+    model = build_model(fld_checkpoint)
+    data = corpus(1)[0].frames
+    start = encode_state(model, fld_checkpoint.normalization.apply(data[:16]).T)
+    runner = GateRunner(fld_checkpoint, GateConfig(epsilon=1e-300), initial_state=start)
+    decisions = [runner.step(f) for f in list(data[:40]) + [None] + list(data[40:60])]
+    assert {d.verdict for d in decisions} == {"rejected", "no_input"}
+    emitted = np.array([d.target_frame for d in decisions])
+    rolled = synthesize(fld_checkpoint, decisions[0].state, len(decisions)).frames
+    assert np.max(np.abs(emitted - rolled)) / max(1.0, np.max(np.abs(rolled))) < 1e-12
+
+
 def test_runner_emits_no_input_during_warm_up_and_after_gap(fld_checkpoint):
     runner = GateRunner(fld_checkpoint, GateConfig(epsilon=1e9))
-    window, capacity = runner.model.config.window, runner.buffer.maxlen
+    cfg = runner.model.config
     frames = corpus(1)[0].frames
-    # a full buffer needs window - 1 + capacity frames
-    warm = window - 1 + capacity
+    # a full window holds window + horizon frames
+    warm = runner.frames.maxlen
+    assert warm == cfg.window + cfg.horizon
     verdicts = [runner.step(f).verdict for f in frames[:warm]]
     assert verdicts == ["no_input"] * (warm - 1) + ["accepted"]
     assert runner.step(None).verdict == "no_input"
-    assert len(runner.buffer) < runner.buffer.maxlen
-    # after a gap the buffer refills from scratch before the gate scores again
+    assert len(runner.frames) < runner.frames.maxlen
+    # after a gap the window refills from scratch before the gate scores again
     verdicts = [runner.step(f).verdict for f in frames[warm:2 * warm]]
     assert verdicts == ["no_input"] * (warm - 1) + ["accepted"]
 

@@ -4,16 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fld.signals import (
+    ItemPool,
     NormalizationStats,
     SyntheticMotionSpec,
     Trajectory,
     fit_normalization,
     generate_synthetic,
     load_csv,
+    segment_view,
     split_corpus,
-    window,
 )
-from fld.training import _ItemPool
 
 
 class TestLoadCsv:
@@ -97,30 +97,35 @@ class TestWindowing:
     def make(self, n, d=2):
         return Trajectory(np.arange(n * d, dtype=float).reshape(n, d))
 
+    def anchors(self, traj, window, horizon=0):
+        """Frame index each item's anchor segment ends at."""
+        return ItemPool([traj.frames], window, horizon).anchors[:, 1] + window - 1
+
     def test_exact_length_single_segment(self):
-        segs, anchors = window(self.make(51), 51)
-        assert segs.shape == (1, 2, 51)
-        assert anchors.tolist() == [50]
+        traj = self.make(51)
+        assert segment_view(traj.frames, 51).shape == (1, 2, 51)
+        assert self.anchors(traj, 51).tolist() == [50]
 
     def test_count_formula(self):
-        segs, _ = window(self.make(53), 51)
-        assert segs.shape[0] == 3
+        assert segment_view(self.make(53).frames, 51).shape[0] == 3
 
     def test_segment_boundaries(self):
         traj = self.make(100)
-        segs, anchors = window(traj, 51)
+        segs, anchors = segment_view(traj.frames, 51), self.anchors(traj, 51)
         assert anchors[0] == 50 and anchors[-1] == 99
         assert np.array_equal(segs[0], traj.frames[0:51].T)
         assert np.array_equal(segs[-1], traj.frames[49:100].T)
 
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
-            window(self.make(10), 51)
+            segment_view(self.make(10).frames, 51)
 
     def test_stride(self):
-        segs, anchors = window(self.make(20), 5, stride=3)
-        assert segs.shape[0] == (20 - 5) // 3 + 1
-        assert anchors[1] - anchors[0] == 3
+        # strided consumers keep the items whose first frame is a multiple of the stride
+        first = ItemPool([self.make(20).frames], 5, 0).anchors[:, 1]
+        strided = first[first % 3 == 0]
+        assert strided.shape[0] == (20 - 5) // 3 + 1
+        assert strided[1] - strided[0] == 3
 
     @settings(max_examples=25, deadline=None)
     @given(n=st.integers(5, 60), h=st.integers(2, 5))
@@ -128,14 +133,14 @@ class TestWindowing:
         if n < h:
             return
         traj = self.make(n, d=1)
-        segs, _ = window(traj, h)
+        segs = segment_view(traj.frames, h)
         tail = np.array([s[0, -1] for s in segs])
         assert np.array_equal(tail, traj.frames[h - 1:, 0])
 
     # training items: each anchor segment with its ``horizon`` successors
     def items(self, traj, horizon):
-        pool = _ItemPool([traj.frames], 51, horizon)
-        return pool.gather(np.arange(len(pool))), pool.anchors[:, 1] + 51 - 1
+        pool = ItemPool([traj.frames], 51, horizon)
+        return pool.gather(np.arange(len(pool))), self.anchors(traj, 51, horizon)
 
     def test_with_future_boundary(self):
         items, anchors = self.items(self.make(101), 50)
@@ -145,9 +150,9 @@ class TestWindowing:
     def test_with_future_zero_horizon_matches_window(self):
         traj = self.make(60)
         items, anchors = self.items(traj, 0)
-        segs, wanchors = window(traj, 51)
+        segs = segment_view(traj.frames, 51)
         assert np.array_equal(items[:, 0], segs)
-        assert np.array_equal(anchors, wanchors)
+        assert np.array_equal(anchors, np.arange(segs.shape[0]) + 50)
 
     def test_futures_match_index_oracle(self):
         traj = self.make(103)
@@ -161,6 +166,17 @@ class TestWindowing:
     def test_with_future_too_short(self):
         with pytest.raises(ValueError, match="long enough"):
             self.items(self.make(100), 50)
+
+    def test_item_is_a_view_and_short_trajectories_are_skipped(self):
+        short, long_a, long_b = self.make(60), self.make(103), self.make(102)
+        pool = ItemPool([long_a.frames, short.frames, long_b.frames], 51, 50)
+        assert pool.trajectories == [0, 2]
+        assert pool.anchors.tolist() == [[0, 0], [0, 1], [0, 2], [1, 0], [1, 1]]
+        item = pool.item(4)
+        assert np.shares_memory(item, long_b.frames)
+        for i in range(51):
+            assert np.array_equal(item[i], long_b.frames[1 + i:52 + i].T)
+        assert np.array_equal(pool.gather(np.array([4, 0])), np.stack([item, pool.item(0)]))
 
 
 class TestSynthetic:
