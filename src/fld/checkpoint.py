@@ -53,6 +53,9 @@ class ModelCheckpoint:
     def __post_init__(self):
         if self.model_kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.model_kind!r}")
+        if self.normalization.mean.shape != (self.config["dims"],):
+            raise ValueError(f"normalization has {self.normalization.mean.size} dims, "
+                             f"model config {self.config['dims']}")
 
 
 def save_checkpoint(checkpoint: ModelCheckpoint, path: str | Path) -> None:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .checkpoint import ModelCheckpoint, build_fld_model
 from .model import FLDModel, wrap_phase
-from .signals import ItemPool, Trajectory, check_anchor_stride, segment_view
+from .signals import ItemPool, Trajectory, segment_view
 from .stats import quantile_midpoint
 
 
@@ -122,8 +122,10 @@ class GateConfig:
     anchor_count: int = 0
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not self.epsilon > 0:
+            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if not 0.0 < self.quantile <= 1.0:
+            raise ValueError(f"quantile must be in (0, 1], got {self.quantile}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -151,12 +153,10 @@ def calibrate_threshold(checkpoint: ModelCheckpoint, corpus: list[Trajectory],
     """Gate threshold: the given quantile (midpoint convention) of the
     propagation loss of every ``anchor_stride``-th item of each trajectory
     in the training corpus."""
-    check_anchor_stride(anchor_stride)
     model = build_fld_model(checkpoint, "gate calibration")
     pool = ItemPool([checkpoint.normalization.apply(t.frames) for t in corpus],
                     model.config.window, model.config.horizon)
-    losses = [anchored_gate_loss(model, pool.item(k))
-              for k in np.flatnonzero(pool.anchors[:, 1] % anchor_stride == 0)]
+    losses = [anchored_gate_loss(model, pool.item(k)) for k in pool.strided(anchor_stride)]
     hasher = hashlib.sha256()
     for ti in pool.trajectories:
         hasher.update(np.ascontiguousarray(corpus[ti].frames).tobytes())

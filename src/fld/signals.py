@@ -5,8 +5,9 @@ A trajectory is a (frames, dims) float64 array with a fixed step time.
 Windows are (dims, H) segments whose columns run oldest to newest, so the
 last column is the frame the window is anchored at. ``ItemPool`` is the one
 item rule: an item is an anchor segment with its N successors, N+1 windows
-cut from H+N consecutive frames. Training, gate calibration and the online
-gate all slice items through it or through the same ``segment_view``.
+cut from H+N consecutive frames. Training, gate calibration, prediction
+evaluation, latent manifold export and quasi-constancy take their items
+from it; the online gate cuts its window with the same ``segment_view``.
 """
 
 from __future__ import annotations
@@ -89,6 +90,17 @@ class NormalizationStats:
     mean: np.ndarray
     std: np.ndarray
 
+    def __post_init__(self):
+        self.mean = np.asarray(self.mean, dtype=np.float64)
+        self.std = np.asarray(self.std, dtype=np.float64)
+        if self.mean.ndim != 1 or self.mean.shape != self.std.shape:
+            raise ValueError(f"normalization mean and std must be 1-D of one shape, "
+                             f"got {self.mean.shape} and {self.std.shape}")
+        if not (np.all(np.isfinite(self.mean)) and np.all(np.isfinite(self.std))):
+            raise ValueError("normalization contains non-finite values")
+        if not np.all(self.std > 0):
+            raise ValueError("normalization std must be positive")
+
     def apply(self, frames: np.ndarray) -> np.ndarray:
         return (np.asarray(frames, dtype=np.float64) - self.mean) / self.std
 
@@ -100,8 +112,7 @@ class NormalizationStats:
 
     @classmethod
     def from_dict(cls, data: dict) -> "NormalizationStats":
-        return cls(np.asarray(data["mean"], dtype=np.float64),
-                   np.asarray(data["std"], dtype=np.float64))
+        return cls(data["mean"], data["std"])
 
 
 def fit_normalization(trajectories: list[Trajectory]) -> NormalizationStats:
@@ -133,17 +144,14 @@ def segment_view(frames: np.ndarray, window: int) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(frames, window, axis=0)
 
 
-def check_anchor_stride(anchor_stride: int) -> None:
-    if anchor_stride < 1:
-        raise ValueError(f"anchor_stride must be >= 1, got {anchor_stride}")
-
-
 class ItemPool:
     """Every item of a corpus of normalized trajectories: anchor segment k
     with its ``horizon`` successors, (N+1, d, H), sliced without copying.
 
     ``anchors`` holds (view, first frame) per item; ``trajectories`` the
-    corpus indices kept, those with at least window + horizon frames.
+    corpus indices kept, those with at least window + horizon frames. This is
+    the item rule of training, gate calibration, the online gate, prediction
+    evaluation, latent manifold export and quasi-constancy.
     """
 
     def __init__(self, frames_list: list[np.ndarray], window: int, horizon: int):
@@ -165,6 +173,12 @@ class ItemPool:
 
     def __len__(self) -> int:
         return len(self.anchors)
+
+    def strided(self, anchor_stride: int) -> np.ndarray:
+        """Ids of the items whose first frame is a multiple of ``anchor_stride``."""
+        if anchor_stride < 1:
+            raise ValueError(f"anchor_stride must be >= 1, got {anchor_stride}")
+        return np.flatnonzero(self.anchors[:, 1] % anchor_stride == 0)
 
     def item(self, k: int) -> np.ndarray:
         vi, wi = self.anchors[k]

@@ -28,9 +28,7 @@ from .signals import (
     ItemPool,
     NormalizationStats,
     Trajectory,
-    check_anchor_stride,
     fit_normalization,
-    segment_view,
 )
 from .stats import pca_project_2d
 
@@ -169,7 +167,6 @@ def evaluate_prediction(checkpoints: dict[str, ModelCheckpoint],
     """Per-horizon relative prediction error for each checkpoint on one
     held-out trajectory. Anchors are subsampled every ``anchor_stride``
     frames; predictions and targets are compared in normalized space."""
-    check_anchor_stride(anchor_stride)
     horizons = np.asarray(sorted(int(h) for h in horizons))
     if horizons.size == 0 or horizons[0] < 0:
         raise ValueError("need at least one non-negative horizon")
@@ -183,42 +180,41 @@ def evaluate_prediction(checkpoints: dict[str, ModelCheckpoint],
             raise ValueError(f"model kind {ckpt.model_kind!r} has no forward-"
                              f"prediction path")
         cfg = model.config
-        if len(trajectory) < cfg.window + max_h:
-            raise ValueError(f"trajectory of {len(trajectory)} frames too short for "
-                             f"window {cfg.window} plus horizon {max_h}")
         if groups is None:
             grp = EVAL_GROUPS_27 if cfg.dims == 27 else {}
         else:
             grp = groups
-        frames = ckpt.normalization.apply(trajectory.frames)
-        view = segment_view(frames, cfg.window)
-        anchor_ids = np.arange(0, view.shape[0] - max_h, anchor_stride)
-        n_anchor_out = len(anchor_ids)
+        pool = ItemPool([ckpt.normalization.apply(trajectory.frames)], cfg.window, max_h)
+        first = pool.anchors[pool.strided(anchor_stride), 1]
+        view = pool.views[0]
+        n_anchor_out = len(first)
         acc = np.zeros(horizons.size)
         acc_group = {g: np.zeros(horizons.size) for g in grp}
-        for start in range(0, len(anchor_ids), _PREDICT_CHUNK):
-            ids = anchor_ids[start:start + _PREDICT_CHUNK]
-            targets = view[ids[:, None] + horizons[None, :]]  # (b, n_h, d, H)
-            preds = model.predict(view[ids], horizons)
+        for start in range(0, len(first), _PREDICT_CHUNK):
+            wi = first[start:start + _PREDICT_CHUNK]
+            targets = view[wi[:, None] + horizons[None, :]]  # (b, n_h, d, H)
+            preds = model.predict(view[wi], horizons)
             acc += relative_error(preds, targets).sum(axis=0)
             for g, (lo, hi) in grp.items():
                 acc_group[g] += relative_error(preds, targets, rows=slice(lo, hi)).sum(axis=0)
-        errors[name] = acc / len(anchor_ids)
-        group_errors[name] = {g: v / len(anchor_ids) for g, v in acc_group.items()}
+        errors[name] = acc / len(first)
+        group_errors[name] = {g: v / len(first) for g, v in acc_group.items()}
     return EvaluationReport(horizons=horizons, errors=errors,
                             group_errors=group_errors, anchor_count=n_anchor_out)
 
 
-def _strided_params(model: FLDModel, frames_normed: np.ndarray, anchor_stride: int
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(phi, f, a, b), each (n, c), of every ``anchor_stride``-th segment of a
-    normalized trajectory."""
-    check_anchor_stride(anchor_stride)
-    view = segment_view(frames_normed, model.config.window)
-    ids = np.arange(0, view.shape[0], anchor_stride)
-    chunks = [model.analyze(view[ids[start:start + _ANALYZE_CHUNK]])[:4]
+def _strided_params(model: FLDModel, frames_list: list[np.ndarray], anchor_stride: int
+                    ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+    """Every ``anchor_stride``-th segment of a normalized corpus: its corpus
+    index (n,), its newest frame (n,) and its (phi, f, a, b), each (n, c)."""
+    window = model.config.window
+    pool = ItemPool(frames_list, window, 0)
+    ids = pool.strided(anchor_stride)
+    chunks = [model.analyze(pool.gather(ids[start:start + _ANALYZE_CHUNK])[:, 0])[:4]
               for start in range(0, len(ids), _ANALYZE_CHUNK)]
-    return tuple(np.concatenate(part, axis=0) for part in zip(*chunks))
+    vi, first = pool.anchors[ids].T
+    return (np.asarray(pool.trajectories)[vi], first + window - 1,
+            tuple(np.concatenate(part, axis=0) for part in zip(*chunks)))
 
 
 @dataclass
@@ -236,23 +232,15 @@ def export_latent_manifold(checkpoint: ModelCheckpoint, corpus: list[Trajectory]
     concat_c (a_c sin(2 pi phi_c), a_c cos(2 pi phi_c)) over every windowable
     frame of the corpus; each point is labelled with its segment's newest frame."""
     model = build_fld_model(checkpoint, "latent manifold export")
-    window = model.config.window
-    feats = []
-    meta = []
-    for ti, traj in enumerate(corpus):
-        if len(traj) < window:
-            continue
-        phi, _, amp, _ = _strided_params(model, checkpoint.normalization.apply(traj.frames),
-                                         anchor_stride)
-        f = np.stack([amp * np.sin(2 * np.pi * phi), amp * np.cos(2 * np.pi * phi)], axis=-1)
-        feats.append(f.reshape(len(phi), -1))
-        meta.extend((ti, traj.label or f"trajectory-{ti}", int(fi))
-                    for fi in range(window - 1, len(traj), anchor_stride))
-    if not feats or sum(f.shape[0] for f in feats) < 3:
+    traj, frame, (phi, _, amp, _) = _strided_params(
+        model, [checkpoint.normalization.apply(t.frames) for t in corpus], anchor_stride)
+    if len(traj) < 3:
         raise ValueError("need at least 3 windowable frames for a manifold export")
-    projected, _ = pca_project_2d(np.concatenate(feats, axis=0))
-    return [ManifoldPoint(float(p[0]), float(p[1]), ti, label, fi)
-            for p, (ti, label, fi) in zip(projected, meta)]
+    feats = np.stack([amp * np.sin(2 * np.pi * phi), amp * np.cos(2 * np.pi * phi)], axis=-1)
+    projected, _ = pca_project_2d(feats.reshape(len(phi), -1))
+    return [ManifoldPoint(float(p[0]), float(p[1]), int(ti),
+                          corpus[ti].label or f"trajectory-{ti}", int(fi))
+            for p, ti, fi in zip(projected, traj, frame)]
 
 
 @dataclass
@@ -271,23 +259,17 @@ def quasi_constancy_report(checkpoint: ModelCheckpoint, corpus: list[Trajectory]
     """How constant the latent parameterization stays along trajectories,
     relative to its spread across the corpus. Lower is more constant."""
     model = build_fld_model(checkpoint, "quasi-constancy")
-    usable = [t for t in corpus if len(t) >= model.config.window]
-    if len(usable) < 2:
+    traj, _, (_, f, a, b) = _strided_params(
+        model, [checkpoint.normalization.apply(t.frames) for t in corpus], anchor_stride)
+    groups = [traj == ti for ti in np.unique(traj)]
+    if len(groups) < 2:
         raise ValueError("need at least two windowable trajectories")
-    per_traj_std: dict[str, list[np.ndarray]] = {"f": [], "a": [], "b": []}
-    per_traj_mean: dict[str, list[np.ndarray]] = {"f": [], "a": [], "b": []}
-    for traj in usable:
-        _, f, a, b = _strided_params(model, checkpoint.normalization.apply(traj.frames),
-                                     anchor_stride)
-        for key, theta in zip("fab", (f, a, b)):
-            per_traj_std[key].append(theta.std(axis=0))
-            per_traj_mean[key].append(theta.mean(axis=0))
     within, across, ratio, skipped = {}, {}, {}, {}
     ratios_all = []
-    for key in ("f", "a", "b"):
-        within[key] = np.mean(per_traj_std[key], axis=0)
+    for key, theta in zip("fab", (f, a, b)):
+        within[key] = np.mean([theta[g].std(axis=0) for g in groups], axis=0)
         # spread of the per-trajectory mean parameterizations across the corpus
-        across[key] = np.std(per_traj_mean[key], axis=0)
+        across[key] = np.std([theta[g].mean(axis=0) for g in groups], axis=0)
         live = across[key] > 1e-12
         skipped[key] = list(np.flatnonzero(~live))
         ratio[key] = np.where(live, within[key] / np.where(live, across[key], 1.0), np.nan)

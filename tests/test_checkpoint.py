@@ -119,3 +119,45 @@ def test_missing_array_names_rejected():
 def test_invalid_kind_rejected():
     with pytest.raises(ValueError, match="model kind"):
         ModelCheckpoint("gru", {}, NormalizationStats(np.zeros(1), np.ones(1)), 0, 0, {})
+
+
+BAD_NORMALIZATION = {
+    "2-D": (np.zeros((1, 3)), np.ones((1, 3)), "1-D of one shape"),
+    "shape mismatch": (np.zeros(3), np.ones(2), "1-D of one shape"),
+    "nan mean": (np.array([0.0, np.nan, 0.0]), np.ones(3), "non-finite"),
+    "inf std": (np.zeros(3), np.array([1.0, np.inf, 1.0]), "non-finite"),
+    "zero std": (np.zeros(3), np.array([1.0, 0.0, 1.0]), "std must be positive"),
+    "negative std": (np.zeros(3), np.array([1.0, 1.0, -2.0]), "std must be positive"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_NORMALIZATION)
+def test_bad_normalization_rejected_when_built(case):
+    mean, std, message = BAD_NORMALIZATION[case]
+    with pytest.raises(ValueError, match=message):
+        NormalizationStats(mean, std)
+
+
+@pytest.mark.parametrize("case", BAD_NORMALIZATION)
+def test_bad_normalization_rejected_when_loaded(tmp_path, case):
+    mean, std, message = BAD_NORMALIZATION[case]
+    ckpt, _ = make_checkpoint()
+    ckpt.normalization.mean, ckpt.normalization.std = mean, std  # skips the check
+    save_checkpoint(ckpt, tmp_path / "m.ckpt")
+    with pytest.raises(ValueError, match=message):
+        load_checkpoint(tmp_path / "m.ckpt")
+
+
+def test_normalization_of_other_dims_rejected_when_built():
+    ckpt, _ = make_checkpoint()
+    with pytest.raises(ValueError, match="normalization has 1 dims, model config 3"):
+        ModelCheckpoint("fld", ckpt.config, NormalizationStats(np.zeros(1), np.ones(1)),
+                        0, 0, ckpt.arrays)
+
+
+def test_normalization_of_other_dims_rejected_when_loaded(tmp_path):
+    ckpt, _ = make_checkpoint()
+    ckpt.normalization = NormalizationStats(np.zeros(1), np.ones(1))  # skips the check
+    save_checkpoint(ckpt, tmp_path / "m.ckpt")
+    with pytest.raises(ValueError, match="normalization has 1 dims, model config 3"):
+        load_checkpoint(tmp_path / "m.ckpt")

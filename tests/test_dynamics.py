@@ -65,6 +65,23 @@ def test_fld_only_entry_points_reject_vae(vae_checkpoint, entry, message):
         entry(vae_checkpoint)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(epsilon=float("nan")), "epsilon must be positive"),
+    (dict(epsilon=0.0), "epsilon must be positive"),
+    (dict(epsilon=-1.0), "epsilon must be positive"),
+    (dict(epsilon=1.0, quantile=0.0), "quantile must be in"),
+    (dict(epsilon=1.0, quantile=1.5), "quantile must be in"),
+])
+def test_gate_config_rejects_bad_threshold(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        GateConfig(**kwargs)
+
+
+@pytest.mark.parametrize("epsilon", [1e-300, float("inf")])
+def test_gate_config_accepts_tiny_and_infinite_epsilon(epsilon):
+    assert GateConfig(epsilon=epsilon).epsilon == epsilon
+
+
 def test_calibrated_epsilon_is_quantile_of_strided_anchor_losses(fld_checkpoint):
     data = corpus(frames=90)
     gate = calibrate_threshold(fld_checkpoint, data, quantile=0.9, anchor_stride=4)

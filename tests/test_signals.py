@@ -122,10 +122,16 @@ class TestWindowing:
 
     def test_stride(self):
         # strided consumers keep the items whose first frame is a multiple of the stride
-        first = ItemPool([self.make(20).frames], 5, 0).anchors[:, 1]
-        strided = first[first % 3 == 0]
+        pool = ItemPool([self.make(20).frames], 5, 0)
+        strided = pool.anchors[pool.strided(3), 1]
         assert strided.shape[0] == (20 - 5) // 3 + 1
         assert strided[1] - strided[0] == 3
+
+    def test_stride_counts_from_each_trajectory_start(self):
+        pool = ItemPool([self.make(12).frames, self.make(3).frames, self.make(9).frames], 5, 0)
+        assert pool.anchors[pool.strided(3)].tolist() == [[0, 0], [0, 3], [0, 6], [1, 0], [1, 3]]
+        with pytest.raises(ValueError, match="^anchor_stride must be >= 1, got 0$"):
+            pool.strided(0)
 
     @settings(max_examples=25, deadline=None)
     @given(n=st.integers(5, 60), h=st.integers(2, 5))

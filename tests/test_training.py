@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from fld.checkpoint import build_model
 from fld.model import FLDConfig
-from fld.signals import SyntheticMotionSpec, Trajectory, generate_synthetic
+from fld.signals import SyntheticMotionSpec, Trajectory, generate_synthetic, segment_view
 from fld.training import (
     TrainConfig,
     evaluate_prediction,
@@ -134,7 +135,8 @@ class TestEvaluatePrediction:
     def test_horizon_exceeding_trajectory_rejected(self):
         corpus, fld, _ = self.trained()
         short = Trajectory(corpus[0].frames[:18], dt=0.02)
-        with pytest.raises(ValueError, match="too short"):
+        with pytest.raises(ValueError, match="^corpus has no trajectory long enough "
+                                             "for window 16 plus horizon 10$"):
             evaluate_prediction({"fld": fld.checkpoint}, short, horizons=[10])
 
     def test_vae_has_no_prediction_path(self):
@@ -172,8 +174,24 @@ class TestManifoldAndConstancy:
 
     def test_manifold_too_few_frames_rejected(self):
         result = train("fld", tiny_corpus(), tiny_train_config(iters=3), FLDConfig(**TINY))
-        with pytest.raises(ValueError, match="3 windowable"):
+        with pytest.raises(ValueError, match="^corpus has no trajectory long enough "
+                                             "for window 16 plus horizon 0$"):
             export_latent_manifold(result.checkpoint, [Trajectory(np.ones((5, 3)))])
+
+    def test_manifold_two_windowable_frames_rejected(self):
+        result = train("fld", tiny_corpus(), tiny_train_config(iters=3), FLDConfig(**TINY))
+        with pytest.raises(ValueError, match="3 windowable"):
+            export_latent_manifold(result.checkpoint, [Trajectory(np.ones((17, 3)))])
+
+    def test_manifold_points_keep_corpus_index_label_and_newest_frame(self):
+        long_a, long_b = tiny_corpus()
+        corpus = [long_a, Trajectory(long_a.frames[:10]), Trajectory(long_b.frames[:70])]
+        result = train("fld", tiny_corpus(), tiny_train_config(iters=3), FLDConfig(**TINY))
+        points = export_latent_manifold(result.checkpoint, corpus, anchor_stride=3)
+        window = TINY["window"]
+        expected = [(ti, label, fi) for ti, label in ((0, "family-0"), (2, "trajectory-2"))
+                    for fi in range(window - 1, len(corpus[ti]), 3)]
+        assert [(p.trajectory, p.label, p.frame) for p in points] == expected
 
     def test_quasi_constancy_untrained_smoke(self):
         corpus = tiny_corpus()
@@ -192,3 +210,25 @@ class TestManifoldAndConstancy:
         result = train("fld", tiny_corpus(), tiny_train_config(iters=3), FLDConfig(**TINY))
         with pytest.raises(ValueError, match="two windowable"):
             quasi_constancy_report(result.checkpoint, tiny_corpus(1))
+
+    def test_short_trajectory_does_not_count_as_windowable(self):
+        result = train("fld", tiny_corpus(), tiny_train_config(iters=3), FLDConfig(**TINY))
+        corpus = [tiny_corpus(1)[0], Trajectory(np.ones((15, 3)))]
+        with pytest.raises(ValueError, match="two windowable"):
+            quasi_constancy_report(result.checkpoint, corpus)
+
+    def test_quasi_constancy_matches_per_trajectory_analysis(self):
+        long_a, long_b = tiny_corpus()
+        corpus = [long_a, Trajectory(long_a.frames[:12]), long_b]
+        result = train("fld", tiny_corpus(), tiny_train_config(iters=3), FLDConfig(**TINY))
+        report = quasi_constancy_report(result.checkpoint, corpus, anchor_stride=5)
+        model = build_model(result.checkpoint)
+        params = []
+        for traj in (long_a, long_b):
+            normed = result.checkpoint.normalization.apply(traj.frames)
+            params.append(model.analyze(segment_view(normed, TINY["window"])[::5])[1:4])
+        for k, key in enumerate("fab"):
+            within = np.mean([p[k].std(axis=0) for p in params], axis=0)
+            across = np.std([p[k].mean(axis=0) for p in params], axis=0)
+            np.testing.assert_allclose(report.within[key], within, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(report.across[key], across, rtol=0, atol=1e-12)
