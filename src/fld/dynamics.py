@@ -1,20 +1,21 @@
 """Latent propagation, autoregressive synthesis, parameterization
 interpolation, and the online tracking-target gate with fallback.
 
-Encoding and decoding go through ``FLDModel.analyze`` and
-``FLDModel.render``, the same maps the training loss uses.
+Encoding, decoding and scoring go through ``FLDModel.analyze``,
+``FLDModel.render`` and ``FLDModel.propagation_loss``, as training does.
 
 The gate consumes a stream of frames through a window of the newest H+N
 frames, which holds the N+1 segments of one item (an anchor segment and
 its N successors, so every prediction step 0..N has ground truth), cut by
-the same ``segment_view`` that calibration and training slice items with.
-Each step ``gate_step`` receives that item, or None while the window is
-not full (warm-up, or after a gap in the input). With an item it either
-re-encodes the latent state from fresh input (accepted) or falls back to
-propagating the latent dynamics (rejected); with None it always
-propagates (no input). The emitted tracking frame is always decoded
-from the state that results, so under fallback the emitted stream is the
-synthesis rollout of the propagated state, to rounding.
+the same ``segment_view`` that calibration and training slice items with,
+and the analysis of each segment, made once, when it was the newest. Each
+step ``gate_step`` receives the item and its analyses, or None while the
+window is not full (warm-up, or after a gap). With an item it scores the
+oldest analysis and either takes the state from the newest (accepted) or
+propagates the latent dynamics (rejected); with None it always propagates
+(no input). The emitted frame is always decoded from the resulting state,
+so under fallback the emitted stream is the synthesis rollout of the
+propagated state, to rounding.
 """
 
 from __future__ import annotations
@@ -140,12 +141,13 @@ class GateDecision:
     target_frame: np.ndarray          # denormalized (d,)
 
 
-def anchored_gate_loss(model: FLDModel, segments: np.ndarray) -> float:
-    """Propagation loss of the earliest segment's encoding scored against
-    the whole stack: the exact training loss with the earliest segment as
-    anchor (shared code path)."""
-    total, _ = model.loss_and_grads(segments[None], mode="eval", want_grads=False)
-    return total
+def anchored_gate_loss(model: FLDModel, segments: np.ndarray,
+                       anchor: tuple | None = None) -> float:
+    """Eval-mode training loss of the stack (N+1, d, H) anchored at its
+    earliest segment, whose (phi, f, a, b) ``anchor`` gives if it is
+    already analysed."""
+    analysis = model.analyze(segments[0]) if anchor is None else anchor
+    return model.propagation_loss(analysis, segments[None])[0]
 
 
 def calibrate_threshold(checkpoint: ModelCheckpoint, corpus: list[Trajectory],
@@ -166,28 +168,28 @@ def calibrate_threshold(checkpoint: ModelCheckpoint, corpus: list[Trajectory],
                       anchor_count=len(losses))
 
 
-def gate_step(segments: np.ndarray | None, state: LatentRollState, gate: GateConfig,
-              model: FLDModel, normalization) -> GateDecision:
+def gate_step(segments: np.ndarray | None, analyses, state: LatentRollState,
+              gate: GateConfig, model: FLDModel, normalization) -> GateDecision:
     """One decision step of the online tracking gate.
 
     ``segments`` is the item in the runner's full window, (N+1, d, H) oldest
-    first, or None when the window is not full. None: no input, fall back to
-    propagation. Otherwise score the earliest segment's propagation against
-    the buffered stream; accept (and re-encode phase and parameterization
-    from the newest segment) only when the loss is within the calibrated
-    threshold, else fall back to propagation.
+    first, with the batch-1 (phi, f, a, b) ``analyses`` of its segments, or
+    None when the window is not full: no input, fall back to propagation.
+    Otherwise score the oldest analysis against the item; accept (taking
+    phase and parameterization from the newest analysis) only when the
+    loss is within the calibrated threshold, else fall back to propagation.
     """
     if segments is None:
         loss, verdict = None, "no_input"
     else:
-        if segments.shape[0] != model.config.horizon + 1:
+        if not len(analyses) == segments.shape[0] == model.config.horizon + 1:
             raise ValueError(f"gate needs a full buffer of {model.config.horizon + 1} "
-                             f"segments, got {segments.shape[0]}")
-        loss = anchored_gate_loss(model, segments)
+                             f"segments, got {segments.shape[0]} ({len(analyses)} analysed)")
+        loss = anchored_gate_loss(model, segments, analyses[0])
         verdict = "accepted" if loss <= gate.epsilon else "rejected"
     if verdict == "accepted":
-        new_state = encode_state(model, segments[-1])
-        new_state.step = state.step + 1
+        phi, f, a, b = analyses[-1]
+        new_state = LatentRollState(phi[0], f[0], a[0], b[0], step=state.step + 1)
     else:
         new_state = propagate(state, model.config.dt)
     segment, frame = decode_state_frame(model, new_state, normalization)
@@ -196,11 +198,12 @@ def gate_step(segments: np.ndarray | None, state: LatentRollState, gate: GateCon
 
 
 class GateRunner:
-    """Frame-by-frame driver: keeps the newest H+N normalized frames and
-    emits one ``gate_step`` decision per frame. Once the window is full the
-    gate gets its N+1 segments, the item anchored H+N-1 frames back; while
-    it is not full (warm-up, or after a None frame empties it) the gate gets
-    None and the decision is a ``no_input`` fallback."""
+    """Frame-by-frame driver: keeps the newest H+N normalized frames and the
+    ``analyze`` output of the newest N+1 segments, each made by the frame
+    that completes its segment (a ``LatentRollState`` would re-wrap phi).
+    Once the window is full each frame's ``gate_step`` gets the item
+    anchored H+N-1 frames back and its analyses; while it is not (warm-up,
+    or after a None frame empties it) it gets None: a ``no_input`` fallback."""
 
     def __init__(self, checkpoint: ModelCheckpoint, gate: GateConfig,
                  initial_state: LatentRollState | None = None):
@@ -209,6 +212,7 @@ class GateRunner:
         self.gate = gate
         cfg = self.model.config
         self.frames: deque[np.ndarray] = deque(maxlen=cfg.window + cfg.horizon)
+        self.analyses: deque[tuple] = deque(maxlen=cfg.horizon + 1)
         if initial_state is None:
             c = cfg.channels
             initial_state = LatentRollState(np.zeros(c), np.zeros(c),
@@ -222,14 +226,20 @@ class GateRunner:
         cfg = self.model.config
         if frame is None:
             self.frames.clear()
+            self.analyses.clear()
         else:
             frame = np.asarray(frame, dtype=np.float64)
             if frame.shape != (cfg.dims,) or not np.all(np.isfinite(frame)):
                 raise ValueError(f"gate frame must be {cfg.dims} finite values, "
                                  f"got shape {frame.shape}")
             self.frames.append(self.normalization.apply(frame))
-        full = len(self.frames) == self.frames.maxlen
-        segments = segment_view(np.stack(self.frames), cfg.window) if full else None
-        decision = gate_step(segments, self.state, self.gate, self.model, self.normalization)
+        segments = None
+        if len(self.frames) >= cfg.window:
+            view = segment_view(np.stack(self.frames), cfg.window)
+            self.analyses.append(self.model.analyze(view[-1])[:4])
+            if len(self.frames) == self.frames.maxlen:
+                segments = view
+        decision = gate_step(segments, self.analyses, self.state, self.gate, self.model,
+                             self.normalization)
         self.state = decision.state
         return decision

@@ -203,8 +203,7 @@ class FLDModel:
         return blocks_backward(self.encoder, grad_z, caches, elu_backward)
 
     def decode(self, latent: np.ndarray, mode: str = "eval") -> tuple[np.ndarray, list]:
-        x = np.asarray(latent, dtype=np.float64)
-        return blocks_forward(self.decoder, x[None] if x.ndim == 2 else x, elu, mode)
+        return blocks_forward(self.decoder, latent, elu, mode)
 
     def decode_backward(self, grad_out: np.ndarray, caches: list) -> np.ndarray:
         return blocks_backward(self.decoder, grad_out, caches, elu_backward)
@@ -356,49 +355,50 @@ class FLDModel:
         shat, _ = self.render(phi, f, a, b, horizons)
         return shat[0] if np.ndim(segments) == 2 else shat
 
+    def propagation_loss(self, analysis: tuple, targets: np.ndarray, mode: str = "eval",
+                         want_grads: bool = False, alpha: float | None = None
+                         ) -> tuple[float, np.ndarray]:
+        """Propagation loss sum_i alpha^i * MSE(decoded i-step prediction,
+        target i) of anchors already analysed: ``analysis`` is what
+        :meth:`analyze` returned, whose caches are read only when
+        ``want_grads``, and ``targets`` (B, N+1, d, H) holds each anchor's
+        i-step future segment in slot i. ``alpha`` overrides the config's
+        decay. Returns (total, per-horizon losses) and accumulates parameter
+        gradients when ``want_grads``."""
+        phi, f, amp, off = analysis[:4]
+        batch, n_steps, d, h = targets.shape
+        shat, (rec_cache, dec_cache) = self.render(phi, f, amp, off, np.arange(n_steps), mode)
+
+        diff = shat - targets
+        per_horizon = np.mean(diff ** 2, axis=(0, 2, 3))
+        weights = (self.config.alpha if alpha is None else alpha) ** np.arange(n_steps)
+        total = float(weights @ per_horizon)
+
+        if want_grads:
+            enc_cache, par_cache = analysis[4]
+            grad_shat = (2.0 / (batch * d * h)) * diff * weights[None, :, None, None]
+            grad_zhat = self.decode_backward(grad_shat.reshape(batch * n_steps, d, h), dec_cache)
+            grad_zhat = grad_zhat.reshape(batch, n_steps, self.config.channels, h)
+            d_phi, d_f, d_amp, d_off = self.reconstruct_latent_backward(grad_zhat, rec_cache)
+            dz = self.parameterize_backward(d_phi, d_f, d_amp, d_off, par_cache)
+            self.encode_backward(dz, enc_cache)
+        return total, per_horizon
+
     def loss_and_grads(self, items: np.ndarray, mode: str = "train",
                        want_grads: bool = True, alpha: float | None = None,
                        horizon: int | None = None,
                        anchor: np.ndarray | None = None) -> tuple[float, np.ndarray]:
-        """Propagation loss sum_i alpha^i * MSE(decoded i-step prediction,
-        future segment i) over a batch of training items.
-
-        ``items`` is (B, N+1, d, H): slot i is the i-step future segment of
-        the anchor, which is slot 0 unless ``anchor`` is given; training and
-        the gate both use slot 0. ``alpha``, ``horizon`` and ``anchor``
-        override the config's decay, the horizon and the anchor; perfbench's
-        oracle test checks the loss with them. Returns (total loss, per-horizon
-        losses); parameter gradients are accumulated when ``want_grads``.
-        """
+        """:meth:`propagation_loss` of items (B, N+1, d, H) anchored at their
+        analysed slot 0, or at ``anchor``; ``alpha`` and ``horizon`` override
+        the decay and the horizon (perfbench's oracle test checks them)."""
         items = np.asarray(items, dtype=np.float64)
         if items.ndim != 4:
             raise ValueError(f"expected items (batch, horizon+1, d, H), got {items.shape}")
         n = items.shape[1] - 1 if horizon is None else horizon
         if n + 1 > items.shape[1]:
             raise ValueError(f"horizon {n} exceeds the {items.shape[1] - 1} futures provided")
-        a_decay = self.config.alpha if alpha is None else alpha
-        batch = items.shape[0]
-        c, h, d = self.config.channels, self.config.window, self.config.dims
-
-        phi, f, amp, off, (enc_cache, par_cache) = self.analyze(
-            items[:, 0] if anchor is None else anchor, mode)
-        shat, (rec_cache, dec_cache) = self.render(phi, f, amp, off, np.arange(n + 1), mode)
-
-        targets = items[:, :n + 1]
-        diff = shat - targets
-        per_horizon = np.mean(diff ** 2, axis=(0, 2, 3))
-        weights = a_decay ** np.arange(n + 1)
-        total = float(weights @ per_horizon)
-
-        if want_grads:
-            grad_shat = (2.0 / (batch * d * h)) * diff * weights[None, :, None, None]
-            grad_zhat = self.decode_backward(
-                grad_shat.reshape(batch * (n + 1), d, h), dec_cache)
-            grad_zhat = grad_zhat.reshape(batch, n + 1, c, h)
-            d_phi, d_f, d_amp, d_off = self.reconstruct_latent_backward(grad_zhat, rec_cache)
-            dz = self.parameterize_backward(d_phi, d_f, d_amp, d_off, par_cache)
-            self.encode_backward(dz, enc_cache)
-        return total, per_horizon
+        analysis = self.analyze(items[:, 0] if anchor is None else anchor, mode)
+        return self.propagation_loss(analysis, items[:, :n + 1], mode, want_grads, alpha)
 
     @property
     def item_horizon(self) -> int:

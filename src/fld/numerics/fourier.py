@@ -24,13 +24,11 @@ def rfft(signal: np.ndarray) -> np.ndarray:
     h = signal.shape[-1]
     if h < 2:
         raise ValueError(f"signal length must be >= 2, got {h}")
-    return scipy.fft.rfft(np.asarray(signal, dtype=np.float64), axis=-1)
+    return scipy.fft.rfft(signal, axis=-1)
 
 
 def rfft_backward(grad_real: np.ndarray, grad_imag: np.ndarray, h: int) -> np.ndarray:
     """VJP of :func:`rfft`: transpose of the real-linear map onto stored bins."""
-    grad_real = np.asarray(grad_real, dtype=np.float64)
-    grad_imag = np.asarray(grad_imag, dtype=np.float64)
     k = h // 2
     if grad_real.shape[-1] != k + 1 or grad_imag.shape[-1] != k + 1:
         raise ValueError(f"expected {k + 1} bins for signal length {h}")

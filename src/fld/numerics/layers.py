@@ -133,9 +133,8 @@ class Conv1d:
         cache = {"x_hat": x_hat, "w_spec": w_spec, "m": m, "length": length, "pad": pad}
         return y, cache
 
-    def backward(self, grad_out: np.ndarray, cache: dict) -> np.ndarray:
+    def backward(self, g: np.ndarray, cache: dict) -> np.ndarray:
         m, length, pad = cache["m"], cache["length"], cache["pad"]
-        g = np.asarray(grad_out, dtype=np.float64)
         g_hat = _rfft_bins_first(g, m)
 
         if self.bias is not None:
@@ -230,8 +229,7 @@ class BatchNorm1d:
         cache.update(std=std, axes=axes, bshape=bshape, mode=mode)
         return y, cache
 
-    def backward(self, grad_out: np.ndarray, cache: dict) -> np.ndarray:
-        g = np.asarray(grad_out, dtype=np.float64)
+    def backward(self, g: np.ndarray, cache: dict) -> np.ndarray:
         axes, bshape, std = cache["axes"], cache["bshape"], cache["std"]
         if cache["mode"] == "eval":
             x_hat = (cache["x"] - cache["mean"].reshape(bshape)) / std.reshape(bshape)
@@ -274,8 +272,7 @@ class Linear:
         ensure_finite(y, "linear output")
         return y, {"x": x}
 
-    def backward(self, grad_out: np.ndarray, cache: dict) -> np.ndarray:
-        g = np.asarray(grad_out, dtype=np.float64)
+    def backward(self, g: np.ndarray, cache: dict) -> np.ndarray:
         self.weight.grad += g.T @ cache["x"]
         self.bias.grad += g.sum(axis=0)
         return g @ self.weight.value
@@ -304,8 +301,7 @@ class PerChannelLinear:
         ensure_finite(y, "per-channel linear output")
         return y, {"x": x}
 
-    def backward(self, grad_out: np.ndarray, cache: dict) -> np.ndarray:
-        g = np.asarray(grad_out, dtype=np.float64)
+    def backward(self, g: np.ndarray, cache: dict) -> np.ndarray:
         self.weight.grad += np.einsum("bco,bch->coh", g, cache["x"])
         return np.einsum("bco,coh->bch", g, self.weight.value)
 
@@ -317,7 +313,6 @@ def elu(x: np.ndarray) -> tuple[np.ndarray, dict]:
     point, so this is exact, and it needs no branch mask. The cache holds
     the output only, since x <= 0 exactly where y <= 0.
     """
-    x = np.asarray(x, dtype=np.float64)
     y = np.maximum(x, 0.0)
     neg_part = np.minimum(x, 0.0)
     y += np.expm1(neg_part, out=neg_part)
@@ -333,7 +328,6 @@ def elu_backward(grad_out: np.ndarray, cache: dict) -> np.ndarray:
 
 
 def relu(x: np.ndarray) -> tuple[np.ndarray, dict]:
-    x = np.asarray(x, dtype=np.float64)
     pos = x > 0.0
     return np.where(pos, x, 0.0), {"pos": pos}
 
@@ -343,7 +337,6 @@ def relu_backward(grad_out: np.ndarray, cache: dict) -> np.ndarray:
 
 
 def softplus(x: np.ndarray) -> tuple[np.ndarray, dict]:
-    x = np.asarray(x, dtype=np.float64)
     return np.logaddexp(0.0, x), {"x": x}
 
 
@@ -359,8 +352,6 @@ def softplus_backward(grad_out: np.ndarray, cache: dict) -> np.ndarray:
 
 def atan2_phase(sy: np.ndarray, sx: np.ndarray) -> tuple[np.ndarray, dict]:
     """Two-argument phase in cycles, range [-0.5, 0.5)."""
-    sy = np.asarray(sy, dtype=np.float64)
-    sx = np.asarray(sx, dtype=np.float64)
     r2 = sx * sx + sy * sy
     if np.any(r2 == 0.0):
         raise ValueError("phase undefined: (sx, sy) == (0, 0)")

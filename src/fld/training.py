@@ -153,7 +153,7 @@ class EvaluationReport:
     horizons: np.ndarray
     errors: dict[str, np.ndarray]                      # model -> (n_horizons,)
     group_errors: dict[str, dict[str, np.ndarray]]     # model -> group -> (n_horizons,)
-    anchor_count: int = 0
+    anchor_count: dict[str, int] = field(default_factory=dict)  # model -> anchors
     definition: str = ("relative error: Frobenius norm of (prediction - target) "
                        "over (target norm + 1e-8), segments in normalized space, "
                        "averaged over anchors")
@@ -173,7 +173,7 @@ def evaluate_prediction(checkpoints: dict[str, ModelCheckpoint],
     max_h = int(horizons[-1])
     errors: dict[str, np.ndarray] = {}
     group_errors: dict[str, dict[str, np.ndarray]] = {}
-    n_anchor_out = 0
+    anchor_count: dict[str, int] = {}
     for name, ckpt in checkpoints.items():
         model = build_model(ckpt)
         if not hasattr(model, "predict"):
@@ -187,7 +187,7 @@ def evaluate_prediction(checkpoints: dict[str, ModelCheckpoint],
         pool = ItemPool([ckpt.normalization.apply(trajectory.frames)], cfg.window, max_h)
         first = pool.anchors[pool.strided(anchor_stride), 1]
         view = pool.views[0]
-        n_anchor_out = len(first)
+        anchor_count[name] = len(first)
         acc = np.zeros(horizons.size)
         acc_group = {g: np.zeros(horizons.size) for g in grp}
         for start in range(0, len(first), _PREDICT_CHUNK):
@@ -200,7 +200,7 @@ def evaluate_prediction(checkpoints: dict[str, ModelCheckpoint],
         errors[name] = acc / len(first)
         group_errors[name] = {g: v / len(first) for g, v in acc_group.items()}
     return EvaluationReport(horizons=horizons, errors=errors,
-                            group_errors=group_errors, anchor_count=n_anchor_out)
+                            group_errors=group_errors, anchor_count=anchor_count)
 
 
 def _strided_params(model: FLDModel, frames_list: list[np.ndarray], anchor_stride: int

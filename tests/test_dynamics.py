@@ -115,15 +115,47 @@ def test_calibration_rejects_a_corpus_without_a_full_item(fld_checkpoint):
 
 
 def test_gate_scores_exactly_the_calibration_item(fld_checkpoint):
-    runner = GateRunner(fld_checkpoint, GateConfig(epsilon=1.0))
+    runner = GateRunner(fld_checkpoint, GateConfig(epsilon=float("inf")))
     cfg = runner.model.config
     frames = corpus(1, frames=40)[0].frames
     pool = ItemPool([fld_checkpoint.normalization.apply(frames)], cfg.window, cfg.horizon)
-    scored = [(t, d.loss) for t, d in enumerate(map(runner.step, frames)) if d.loss is not None]
+    scored = [(t, d) for t, d in enumerate(map(runner.step, frames)) if d.loss is not None]
     assert [t for t, _ in scored] == list(range(cfg.window + cfg.horizon - 1, len(frames)))
-    for t, loss in scored:
+    for t, decision in scored:
         k = t - (cfg.window + cfg.horizon - 1)
-        assert loss == anchored_gate_loss(runner.model, pool.item(k))
+        assert decision.loss == anchored_gate_loss(runner.model, pool.item(k))
+        # the accepted state is the newest segment's encoding, analysed once
+        assert decision.verdict == "accepted"
+        want = encode_state(runner.model, pool.item(k)[-1])
+        for key in ("phi", "freq", "amp", "offset"):
+            assert getattr(decision.state, key).tobytes() == getattr(want, key).tobytes()
+
+
+def test_gate_analyses_each_segment_once(fld_checkpoint, monkeypatch):
+    runner = GateRunner(fld_checkpoint, GateConfig(epsilon=float("inf")))
+    window = runner.model.config.window
+    calls = []
+    analyze = runner.model.analyze
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return analyze(*args, **kwargs)
+
+    monkeypatch.setattr(runner.model, "analyze", counted)
+    frames = corpus(1, frames=40)[0].frames
+
+    def counts(stream):
+        out = []
+        for frame in stream:
+            before = len(calls)
+            runner.step(frame)
+            out.append(len(calls) - before)
+        return out
+
+    want = [0] * (window - 1) + [1] * (len(frames) - window + 1)
+    assert counts(frames) == want
+    assert counts([None]) == [0]
+    assert counts(frames) == want
 
 
 def decisions_of(runner, frames):
@@ -233,7 +265,7 @@ def test_propagation_is_a_grid_shift(fld_checkpoint):
 def test_gate_without_input_propagates_and_decodes(fld_checkpoint):
     model = build_model(fld_checkpoint)
     state = random_state(np.random.default_rng(7), step=3)
-    decision = gate_step(None, state, GateConfig(epsilon=1.0), model,
+    decision = gate_step(None, None, state, GateConfig(epsilon=1.0), model,
                          fld_checkpoint.normalization)
     expected = propagate(state, model.config.dt)
     segment, frame = decode_state_frame(model, expected, fld_checkpoint.normalization)
@@ -251,6 +283,7 @@ def test_gate_rejects_a_stack_of_the_wrong_length(fld_checkpoint):
     view = segment_view(fld_checkpoint.normalization.apply(corpus(1)[0].frames), window)
     state = random_state(np.random.default_rng(8))
     for count in (n, n + 2):
+        analyses = [model.analyze(segment)[:4] for segment in view[:count]]
         with pytest.raises(ValueError, match=f"full buffer of {n + 1} segments, got {count}"):
-            gate_step(view[:count], state, GateConfig(epsilon=1.0), model,
+            gate_step(view[:count], analyses, state, GateConfig(epsilon=1.0), model,
                       fld_checkpoint.normalization)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fld.checkpoint import build_model
-from fld.model import FLDConfig
+from fld.model import FFConfig, FLDConfig
 from fld.signals import SyntheticMotionSpec, Trajectory, generate_synthetic, segment_view
 from fld.training import (
     TrainConfig,
@@ -130,7 +130,20 @@ class TestEvaluatePrediction:
         assert report.horizons.tolist() == [0, 1, 3]
         assert set(report.errors) == {"fld", "ff"}
         assert all(np.all(v >= 0) for v in report.errors.values())
-        assert report.anchor_count > 0
+        assert set(report.anchor_count) == {"fld", "ff"}
+        assert all(count > 0 for count in report.anchor_count.values())
+
+    def test_anchor_count_per_model_window(self):
+        corpus = tiny_corpus(frames=60)
+        ckpts = {"fld": train("fld", corpus, tiny_train_config(iters=1),
+                              FLDConfig(**TINY)).checkpoint,
+                 "ff": train("ff", corpus, tiny_train_config(iters=1),
+                             FFConfig(dims=3, window=30, hidden=(8,))).checkpoint}
+        # 60 frames hold 45 windows of 16 and 31 of 30; horizon 2 drops two anchors each
+        for order in (("fld", "ff"), ("ff", "fld")):
+            report = evaluate_prediction({name: ckpts[name] for name in order}, corpus[0],
+                                         horizons=[0, 2], anchor_stride=1)
+            assert report.anchor_count == {"fld": 43, "ff": 29}
 
     def test_horizon_exceeding_trajectory_rejected(self):
         corpus, fld, _ = self.trained()
