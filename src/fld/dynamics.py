@@ -222,7 +222,10 @@ class GateRunner:
     def step(self, frame: np.ndarray | None) -> GateDecision:
         """Advance one step with a raw (denormalized) frame of shape (dims,),
         or None for "no user input this step". A malformed or non-finite
-        frame raises ValueError and leaves the runner unchanged."""
+        frame raises ValueError and leaves the runner unchanged. A frame
+        that completes a segment the encoder cannot analyse in finite
+        arithmetic raises ValueError too, after emptying the window as a
+        None frame does, so the frame is never scored."""
         cfg = self.model.config
         if frame is None:
             self.frames.clear()
@@ -236,7 +239,16 @@ class GateRunner:
         segments = None
         if len(self.frames) >= cfg.window:
             view = segment_view(np.stack(self.frames), cfg.window)
-            self.analyses.append(self.model.analyze(view[-1])[:4])
+            try:
+                with np.errstate(over="raise", invalid="raise"):
+                    analysis = self.model.analyze(view[-1])[:4]
+            except FloatingPointError as err:
+                self.frames.clear()
+                self.analyses.clear()
+                raise ValueError("gate frame completes a segment that overflows the "
+                                 "encoder; the window was emptied as after a None "
+                                 "frame") from err
+            self.analyses.append(analysis)
             if len(self.frames) == self.frames.maxlen:
                 segments = view
         decision = gate_step(segments, self.analyses, self.state, self.gate, self.model,

@@ -13,7 +13,6 @@ under the full-spectrum inner product.
 from __future__ import annotations
 
 import numpy as np
-import scipy.fft
 
 
 def rfft(signal: np.ndarray) -> np.ndarray:
@@ -24,7 +23,7 @@ def rfft(signal: np.ndarray) -> np.ndarray:
     h = signal.shape[-1]
     if h < 2:
         raise ValueError(f"signal length must be >= 2, got {h}")
-    return scipy.fft.rfft(signal, axis=-1)
+    return np.fft.rfft(signal, axis=-1)
 
 
 def rfft_backward(grad_real: np.ndarray, grad_imag: np.ndarray, h: int) -> np.ndarray:

@@ -10,18 +10,18 @@ gradient. Callers own the optimizer state and the train/eval mode choice.
 The per-element passes make only the full-size arrays their math needs and
 keep no buffer between calls: train-mode batch norm caches x_hat only, eval
 batch norm is one per-channel scale and shift, and ELU caches its output
-only. A convolution writes each input or gradient spectrum once, straight
-into the (bins, B, C) array its batched matmul reads: ``numpy.fft.rfft``
-takes that transposed view as ``out=``, which ``scipy.fft.rfft`` cannot, so
-the forward transforms use numpy and make no padded or transposed copy.
-The inverse transforms stay on ``scipy.fft.irfft``, which is faster than
-numpy's on the transposed spectra they read.
+only. A convolution runs as three real matrix products: a DFT matrix takes
+each segment to its spectrum, one matmul per frequency bin mixes the
+channels, and a second DFT matrix brings back only the L outputs. At these
+short lengths one BLAS call on a dense DFT matrix is cheaper than an FFT
+row by row, and the layout each product writes is the one the next reads.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
-import scipy.fft
 
 
 def ensure_finite(arr: np.ndarray, what: str) -> np.ndarray:
@@ -52,28 +52,61 @@ def _uniform_init(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int)
     return rng.uniform(-bound, bound, size=shape)
 
 
-def _rfft_bins_first(a: np.ndarray, m: int) -> np.ndarray:
-    """rfft of (B, C, L) at length m, written once into a (bins, B, C) array."""
-    spec = np.empty((m // 2 + 1, a.shape[0], a.shape[1]), dtype=np.complex128)
-    np.fft.rfft(a, n=m, axis=-1, out=spec.transpose(1, 2, 0))
-    return spec
+@lru_cache(maxsize=16)
+def _dft_matrices(length: int, kernel_size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Real DFT matrices at the alias-free length m = L + (k - 1)/2, with
+    rows (bin j real part, bin j imaginary part) for j = 0..m//2:
+
+    - ``forward`` (2 bins, L): ``forward @ x`` is ``rfft(x, n=m)``;
+    - ``inverse`` (2 bins, L): ``spectrum @ inverse`` is ``irfft(spectrum, n=m)[:L]``;
+    - ``kernel`` (2 bins, k): ``kernel @ w`` is ``conj(rfft(lags, n=m))``,
+      where the lags -pad..pad of w sit at index s mod m.
+
+    Cached per (L, k) and read-only, since every call shares them.
+    """
+    pad = (kernel_size - 1) // 2
+    m = length + pad
+    bins = np.arange(m // 2 + 1)[:, None]
+
+    def cos_sin(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # j*n is reduced mod m as an integer, so every angle lies in [0, 2*pi)
+        angle = (2.0 * np.pi / m) * ((bins * n) % m)
+        return np.cos(angle), np.sin(angle)
+
+    c, s = cos_sin(np.arange(length))
+    forward = np.stack([c, -s], axis=1).reshape(-1, length)
+    # irfft counts every bin but 0 and m/2 twice, for its conjugate
+    weight = np.where((bins == 0) | (2 * bins == m), 1.0, 2.0) / m
+    inverse = forward * np.repeat(weight, 2, axis=0)
+    c, s = cos_sin(np.arange(-pad, pad + 1))
+    kernel = np.stack([c, s], axis=1).reshape(-1, kernel_size)
+    for a in (forward, inverse, kernel):
+        a.setflags(write=False)
+    return forward, inverse, kernel
 
 
 class Conv1d:
     """Same-padded 1D cross-correlation, stride 1, odd kernel.
 
-    Computed in the frequency domain at the shortest fast real-FFT length
-    m >= L + (k - 1)/2. Outputs 0..L-1 read only lags -pad..pad, so the
-    input is transformed unpadded, the kernel's lags sit circularly around
-    index 0, and no circular wrap reaches an output, a weight-gradient lag
-    or an input-gradient sample. The kernel spectra are kept on the layer
-    and rebuilt only when the weights differ, by value, from the copy they
-    were built from: optimizers and tests write weights in place. Input and
-    gradient spectra are written by ``numpy.fft.rfft``, which accepts the
-    transposed ``out=`` view, straight into the (bins, B, C) layout the
-    batched matmuls read; the inverse transforms use ``scipy.fft.irfft``,
-    which reads those spectra faster than numpy's. This must match the
-    naive sliding dot product to 1e-12 and the test suite holds it to that.
+    Computed in the frequency domain at the exact alias-free length
+    m = L + (k - 1)/2: outputs 0..L-1 read only lags -pad..pad, so the
+    unpadded input, the kernel's lags placed circularly around index 0 and
+    every weight-gradient lag and input-gradient sample stay clear of the
+    circular wrap. Each step is a real matrix product against the cached
+    DFT matrices of :func:`_dft_matrices`:
+
+    - the input spectra ``forward @ x_b^T``, laid out (B, bins, [Re | Im] x I);
+    - per bin, [Re X | Im X] @ [[P, Q], [-Q, P]] = [Re Y | Im Y], where
+      P + iQ is the kernel's conjugate spectrum: one real matmul holds the
+      complex product;
+    - the outputs t < L only, ``Y_b^T @ inverse``, contiguous (B, O, L).
+
+    The backward pass runs the transposes of the same three steps for dx,
+    and takes dW's lags from the bin blocks' gradient through the kernel
+    matrix. The bin blocks are kept on the layer and rebuilt only when the
+    weights differ, by value, from the copy they were built from: optimizers
+    and tests write weights in place. This must match the naive sliding dot
+    product to 1e-12 and the test suite holds it to that.
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
@@ -89,8 +122,8 @@ class Conv1d:
         # a bias is pointless (and makes gradients degenerate) when the layer
         # feeds straight into batch norm, so model code may drop it
         self.bias = Parameter(f"{name}.bias", _uniform_init(rng, (out_channels,), fan_in)) if bias else None
-        # (m, weights the spectrum was built from, spectrum)
-        self._spectrum: tuple[int, np.ndarray, np.ndarray] | None = None
+        # (L, weights the blocks were built from, blocks)
+        self._blocks: tuple[int, np.ndarray, np.ndarray] | None = None
 
     def parameters(self) -> list[Parameter]:
         return [self.weight] + ([self.bias] if self.bias is not None else [])
@@ -101,55 +134,65 @@ class Conv1d:
             raise ValueError(f"expected input (batch, {self.in_channels}, length), got {x.shape}")
         return x
 
-    def _kernel_spectrum(self, m: int) -> np.ndarray:
-        """conj(rfft) of the kernel with lag s at index s mod m, as (bins, I, O)."""
+    def _kernel_blocks(self, length: int) -> np.ndarray:
+        """Per-bin real form [[P, Q], [-Q, P]] of the kernel's conjugate
+        spectrum P + iQ, as (bins, 2I, 2O)."""
         w = self.weight.value
-        if self._spectrum is not None:
-            built_m, built_from, w_spec = self._spectrum
-            if built_m == m and np.array_equal(w, built_from):
-                return w_spec
-        pad = (self.kernel_size - 1) // 2
-        lags = np.zeros((self.out_channels, self.in_channels, m))
-        lags[:, :, :pad + 1] = w[:, :, pad:]
-        lags[:, :, m - pad:] = w[:, :, :pad]
-        w_spec = np.ascontiguousarray(np.conj(scipy.fft.rfft(lags, axis=-1)).transpose(2, 1, 0))
-        self._spectrum = (m, w.copy(), w_spec)
-        return w_spec
+        if self._blocks is not None:
+            built_length, built_from, blocks = self._blocks
+            if built_length == length and np.array_equal(w, built_from):
+                return blocks
+        _, _, kernel = _dft_matrices(length, self.kernel_size)
+        i, o = self.in_channels, self.out_channels
+        spec = kernel @ w.transpose(2, 1, 0).reshape(self.kernel_size, i * o)
+        spec = spec.reshape(-1, 2, i, o)
+        blocks = np.empty((spec.shape[0], 2 * i, 2 * o))
+        blocks[:, :i, :o] = blocks[:, i:, o:] = spec[:, 0]
+        blocks[:, :i, o:] = spec[:, 1]
+        np.negative(spec[:, 1], out=blocks[:, i:, :o])
+        self._blocks = (length, w.copy(), blocks)
+        return blocks
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, dict]:
         x = self._check_input(x)
-        length = x.shape[-1]
-        pad = (self.kernel_size - 1) // 2
-        m = scipy.fft.next_fast_len(length + pad, real=True)
-        w_spec = self._kernel_spectrum(m)
-        x_hat = _rfft_bins_first(x, m)
+        batch, _, length = x.shape
+        forward_dft, inverse_dft, _ = _dft_matrices(length, self.kernel_size)
+        blocks = self._kernel_blocks(length)
+        bins, o = blocks.shape[0], self.out_channels
 
         # y[b,o,t] = sum_{i,s} x[b,i,t+s] w[o,i,pad+s]  (cross-correlation)
-        y_hat = x_hat @ w_spec
-        y = scipy.fft.irfft(y_hat.transpose(1, 2, 0), n=m, axis=-1)[:, :, :length]
+        x_spec = np.matmul(forward_dft, x.transpose(0, 2, 1)).reshape(batch, bins, -1)
+        y_spec = np.empty((batch, bins, 2 * o))
+        np.matmul(x_spec.transpose(1, 0, 2), blocks, out=y_spec.transpose(1, 0, 2))
+        y = np.matmul(y_spec.reshape(batch, 2 * bins, o).transpose(0, 2, 1), inverse_dft)
         if self.bias is not None:
             y += self.bias.value[None, :, None]
         ensure_finite(y, "conv1d output")
-        cache = {"x_hat": x_hat, "w_spec": w_spec, "m": m, "length": length, "pad": pad}
-        return y, cache
+        return y, {"x_spec": x_spec, "blocks": blocks, "length": length}
 
     def backward(self, g: np.ndarray, cache: dict) -> np.ndarray:
-        m, length, pad = cache["m"], cache["length"], cache["pad"]
-        g_hat = _rfft_bins_first(g, m)
+        x_spec, blocks, length = cache["x_spec"], cache["blocks"], cache["length"]
+        forward_dft, inverse_dft, kernel = _dft_matrices(length, self.kernel_size)
+        batch, bins = x_spec.shape[:2]
+        i, o = self.in_channels, self.out_channels
 
         if self.bias is not None:
             self.bias.grad += g.sum(axis=(0, 2))
 
-        # dx[b,i,u] = sum_{o,s} g[b,o,u-s] w[o,i,pad+s]: convolution
-        dx_hat = g_hat @ np.conj(cache["w_spec"]).transpose(0, 2, 1)
-        dx = scipy.fft.irfft(dx_hat.transpose(1, 2, 0), n=m, axis=-1)[:, :, :length]
+        # dx: the forward's three products transposed, last first
+        g_spec = np.matmul(inverse_dft, g.transpose(0, 2, 1)).reshape(batch, bins, 2 * o)
+        dx_spec = np.empty((batch, bins, 2 * i))
+        np.matmul(g_spec.transpose(1, 0, 2), blocks.transpose(0, 2, 1),
+                  out=dx_spec.transpose(1, 0, 2))
+        dx = np.matmul(dx_spec.reshape(batch, 2 * bins, i).transpose(0, 2, 1), forward_dft)
 
-        # dW[o,i,pad+s] = sum_{b,t} g[b,o,t] x[b,i,t+s]: correlation over t,
-        # lag s at index s mod m; g_hat is not read again, so conjugate it in place
-        dw_hat = np.conj(g_hat, out=g_hat).transpose(0, 2, 1) @ cache["x_hat"]
-        lags = scipy.fft.irfft(dw_hat.transpose(1, 2, 0), n=m, axis=-1)
-        self.weight.grad[:, :, pad:] += lags[:, :, :pad + 1]
-        self.weight.grad[:, :, :pad] += lags[:, :, m - pad:]
+        # dW: each bin block's gradient folded onto P and Q, then onto the lags
+        d_blocks = np.matmul(x_spec.transpose(1, 2, 0), g_spec.transpose(1, 0, 2))
+        d_spec = np.empty((bins, 2, i, o))
+        np.add(d_blocks[:, :i, :o], d_blocks[:, i:, o:], out=d_spec[:, 0])
+        np.subtract(d_blocks[:, :i, o:], d_blocks[:, i:, :o], out=d_spec[:, 1])
+        d_lags = kernel.T @ d_spec.reshape(2 * bins, i * o)
+        self.weight.grad += d_lags.reshape(self.kernel_size, i, o).transpose(2, 1, 0)
         return dx
 
 

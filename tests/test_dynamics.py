@@ -183,6 +183,25 @@ def test_runner_rejects_malformed_frames_and_keeps_its_window(fld_checkpoint):
     assert got == want
 
 
+def test_runner_treats_a_frame_the_encoder_overflows_as_a_gap(fld_checkpoint):
+    # 1e308 is finite raw and normalized, but not through the encoder
+    frames = corpus(1, frames=70)[0].frames
+    huge = np.r_[1e308, np.zeros(frames.shape[1] - 1)]
+    split = 25  # the window holds a full segment, so the frame is analysed at once
+    probed = GateRunner(fld_checkpoint, GateConfig(epsilon=1.0))
+    gapped = GateRunner(fld_checkpoint, GateConfig(epsilon=1.0))
+    got = decisions_of(probed, frames[:split])
+    with pytest.raises(ValueError, match="gate frame"):
+        probed.step(huge)
+    assert len(probed.frames) == len(probed.analyses) == 0
+    got += decisions_of(probed, frames[split:])
+    want = decisions_of(gapped, list(frames[:split]) + [None]) + decisions_of(gapped, frames[split:])
+    del want[split]  # the gap's own no_input decision
+    verdicts = [(d[0], d[1]) for d in got]
+    assert verdicts == [(d[0], d[1]) for d in want]
+    assert {"accepted", "rejected"} & {v for v, _ in verdicts[split:]}
+
+
 def test_fallback_stream_is_the_synthesis_rollout(fld_checkpoint):
     model = build_model(fld_checkpoint)
     data = corpus(1)[0].frames

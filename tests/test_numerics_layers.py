@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.fft
 
 from fld.numerics import (
     Adam,
@@ -18,6 +17,7 @@ from fld.numerics import (
     softplus,
     softplus_backward,
 )
+from fld.numerics.layers import _dft_matrices
 
 
 def conv_oracle(x, w, b):
@@ -89,25 +89,49 @@ class TestConv1d:
         y, _ = conv.forward(x)
         assert np.max(np.abs(y - conv_oracle(x, conv.weight.value, conv.bias.value))) < 1e-12
 
-    @pytest.mark.parametrize("cin,cout,k,length,m", [
-        (3, 4, 51, 51, 80),  # the paper shape: k = L
-        (2, 3, 7, 45, 48),   # m is exactly L + (k-1)/2: the tightest no-alias case
+    # m: the exact alias-free transform length L + (k-1)/2 the layer uses
+    SHAPES = [
+        (3, 4, 51, 51, 76),  # the paper shape: k = L
+        (2, 3, 7, 45, 48),
         (2, 2, 9, 2, 6),     # m is shorter than the kernel
+    ]
+
+    @pytest.mark.parametrize("cin,cout,k,length,m", SHAPES + [
+        (64, 27, 51, 51, 76),  # the decoder's output conv at the paper channels
     ])
     def test_forward_and_backward_match_sliding_window_oracle(self, cin, cout, k, length, m):
-        # m: the shortest fast transform length that keeps outputs 0..L-1 alias-free
-        assert scipy.fft.next_fast_len(length + (k - 1) // 2, real=True) == m
+        assert length + (k - 1) // 2 == m
         rng = np.random.default_rng(11)
         conv = make_conv(cin, cout, k)
         x = rng.normal(size=(3, cin, length))
         g = rng.normal(size=(3, cout, length))
         y, cache = conv.forward(x)
+        assert cache["x_spec"].shape == (3, m // 2 + 1, 2 * cin)
         assert np.max(np.abs(y - conv_oracle(x, conv.weight.value, conv.bias.value))) < 1e-12
         conv.weight.zero_grad()
         dx = conv.backward(g, cache)
         dw_ref, dx_ref = conv_oracle_backward(x, conv.weight.value, g)
         assert np.max(np.abs(conv.weight.grad - dw_ref)) < 1e-12
         assert np.max(np.abs(dx - dx_ref)) < 1e-12
+
+    @pytest.mark.parametrize("cin,cout,k,length,m", SHAPES)
+    def test_dft_matrices_match_numpy_fft(self, cin, cout, k, length, m):
+        forward, inverse, kernel = _dft_matrices(length, k)
+        rng = np.random.default_rng(14)
+        x = rng.normal(size=(5, length))
+        spec = np.fft.rfft(x, n=m)
+        as_rows = np.stack([spec.real, spec.imag], axis=-1).reshape(5, -1)
+        assert np.max(np.abs(x @ forward.T - as_rows)) < 1e-12
+        assert np.max(np.abs(as_rows @ inverse - np.fft.irfft(spec, n=m)[:, :length])) < 1e-12
+        pad = (k - 1) // 2
+        w = rng.normal(size=(5, k))
+        lags = np.zeros((5, m))
+        # lag s at index s mod m; lags that wrap onto one index add up
+        np.add.at(lags, (slice(None), np.arange(-pad, pad + 1) % m), w)
+        kspec = np.conj(np.fft.rfft(lags))
+        assert np.max(np.abs(w @ kernel.T
+                             - np.stack([kspec.real, kspec.imag], axis=-1).reshape(5, -1))) < 1e-12
+        assert not (forward.flags.writeable or inverse.flags.writeable or kernel.flags.writeable)
 
     def test_weights_written_in_place_are_not_served_stale(self):
         rng = np.random.default_rng(12)
