@@ -32,6 +32,7 @@ from .numerics import (
     atan2_phase_backward,
     elu,
     elu_backward,
+    immutable,
     relu,
     relu_backward,
     rfft,
@@ -82,6 +83,24 @@ def blocks_backward(blocks: list, g: np.ndarray, caches: list, act_backward) -> 
             g = bn.backward(g, c_bn)
         g = layer.backward(g, c_layer)
     return g
+
+
+def fold_batch_norm(block: tuple) -> tuple:
+    """A (conv, batch norm, activated) block as (conv with bias, None,
+    activated): the conv's weights scaled per output channel by batch norm's
+    eval scale s, and its bias (0 if it has none) times s plus the eval
+    shift. Agrees with the eval block to rounding, not bitwise. A block
+    without batch norm is returned as it is."""
+    conv, bn, activated = block
+    if bn is None:
+        return block
+    scale, shift = bn.eval_affine()
+    conv.weight.value = conv.weight.value * scale[:, None, None]
+    if conv.bias is None:
+        conv.bias = Parameter(conv.weight.name.rsplit(".", 1)[0] + ".bias", shift)
+    else:
+        conv.bias.value = conv.bias.value * scale + shift
+    return conv, None, activated
 
 
 def block_parameters(blocks: list) -> list[Parameter]:
@@ -187,6 +206,25 @@ class FLDModel:
             if bn is not None:
                 arrays.update(bn.state_arrays())
         return arrays
+
+    def freeze(self) -> "FLDModel":
+        """Make this model inference-only, in place, and return it: fold
+        each encoder and decoder batch norm into its conv
+        (:func:`fold_batch_norm`), then make every parameter value and the
+        phase head's running statistics immutable
+        (:func:`~fld.numerics.layers.immutable`). Eval outputs equal the
+        unfrozen model's to rounding (about 1e-15 relative), not bitwise.
+        A train-mode analysis raises, since the phase head cannot update its
+        running statistics, and so does every optimizer step.
+        ``state_arrays`` then returns the folded arrays, which no longer
+        match the architecture's checkpoint directory."""
+        self.encoder = [fold_batch_norm(block) for block in self.encoder]
+        self.decoder = [fold_batch_norm(block) for block in self.decoder]
+        for p in self.parameters():
+            p.value = immutable(p.value)
+        bn = self.phase_bn
+        bn.running_mean, bn.running_var = immutable(bn.running_mean), immutable(bn.running_var)
+        return self
 
     # -- encoder / decoder ----------------------------------------------
 

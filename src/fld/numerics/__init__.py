@@ -13,6 +13,7 @@ from .layers import (
     elu,
     elu_backward,
     ensure_finite,
+    immutable,
     relu,
     relu_backward,
     softplus,
@@ -32,6 +33,7 @@ __all__ = [
     "elu",
     "elu_backward",
     "ensure_finite",
+    "immutable",
     "relu",
     "relu_backward",
     "rfft",

@@ -15,6 +15,13 @@ each segment to its spectrum, one matmul per frequency bin mixes the
 channels, and a second DFT matrix brings back only the L outputs. At these
 short lengths one BLAS call on a dense DFT matrix is cheaper than an FFT
 row by row, and the layout each product writes is the one the next reads.
+
+A convolution keeps the per-bin kernel blocks it derives from its weights
+and checks them before each use. Writable weights are compared by value
+with the copy the blocks were built from, since optimizers and tests
+write them in place. Immutable weights (see :func:`immutable`) cannot
+change, so their blocks are current as long as the weight is the same
+array object.
 """
 
 from __future__ import annotations
@@ -30,6 +37,13 @@ def ensure_finite(arr: np.ndarray, what: str) -> np.ndarray:
     if arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
         raise FloatingPointError(f"non-finite values in {what}")
     return arr
+
+
+def immutable(arr: np.ndarray) -> np.ndarray:
+    """A read-only float64 copy of ``arr`` over a ``bytes`` object, which
+    numpy refuses to make writable again."""
+    arr = np.ascontiguousarray(arr, dtype=np.float64)
+    return np.ndarray(arr.shape, dtype=np.float64, buffer=arr.tobytes())
 
 
 class Parameter:
@@ -103,10 +117,13 @@ class Conv1d:
 
     The backward pass runs the transposes of the same three steps for dx,
     and takes dW's lags from the bin blocks' gradient through the kernel
-    matrix. The bin blocks are kept on the layer and rebuilt only when the
-    weights differ, by value, from the copy they were built from: optimizers
-    and tests write weights in place. This must match the naive sliding dot
-    product to 1e-12 and the test suite holds it to that.
+    matrix. The bin blocks are kept on the layer. For writable weights they
+    are rebuilt only when the weights differ, by value, from the copy they
+    were built from: optimizers and tests write weights in place. For
+    immutable weights (an array over ``bytes``, see :func:`immutable`) they
+    are reused while the weight is the very array they were built from, and
+    rebuilt when ``weight.value`` is replaced. This must match the naive
+    sliding dot product to 1e-12 and the test suite holds it to that.
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
@@ -122,7 +139,8 @@ class Conv1d:
         # a bias is pointless (and makes gradients degenerate) when the layer
         # feeds straight into batch norm, so model code may drop it
         self.bias = Parameter(f"{name}.bias", _uniform_init(rng, (out_channels,), fan_in)) if bias else None
-        # (L, weights the blocks were built from, blocks)
+        # (L, the immutable weights the blocks were built from or a copy of
+        # the writable ones, blocks)
         self._blocks: tuple[int, np.ndarray, np.ndarray] | None = None
 
     def parameters(self) -> list[Parameter]:
@@ -138,9 +156,11 @@ class Conv1d:
         """Per-bin real form [[P, Q], [-Q, P]] of the kernel's conjugate
         spectrum P + iQ, as (bins, 2I, 2O)."""
         w = self.weight.value
+        fixed = isinstance(w.base, bytes)
         if self._blocks is not None:
             built_length, built_from, blocks = self._blocks
-            if built_length == length and np.array_equal(w, built_from):
+            if built_length == length and (built_from is w if fixed
+                                           else np.array_equal(w, built_from)):
                 return blocks
         _, _, kernel = _dft_matrices(length, self.kernel_size)
         i, o = self.in_channels, self.out_channels
@@ -150,7 +170,7 @@ class Conv1d:
         blocks[:, :i, :o] = blocks[:, i:, o:] = spec[:, 0]
         blocks[:, :i, o:] = spec[:, 1]
         np.negative(spec[:, 1], out=blocks[:, i:, :o])
-        self._blocks = (length, w.copy(), blocks)
+        self._blocks = (length, w if fixed else w.copy(), blocks)
         return blocks
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, dict]:
@@ -211,8 +231,8 @@ class BatchNorm1d:
     into x_hat, and its cache holds x_hat only: the input is often a view
     that would keep a convolution's larger transform buffer alive. Eval mode
     applies the running statistics as one per-channel scale and shift,
-    x * (gamma / std) + (beta - mean * gamma / std); its backward rebuilds
-    x_hat from the input only when it runs.
+    x * (gamma / std) + (beta - mean * gamma / std) (``eval_affine``); its
+    backward rebuilds x_hat from the input only when it runs.
     """
 
     def __init__(self, num_features: int, name: str, eps: float = 1e-5, momentum: float = 0.1):
@@ -231,6 +251,12 @@ class BatchNorm1d:
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {f"{self.name}.running_mean": self.running_mean,
                 f"{self.name}.running_var": self.running_var}
+
+    def eval_affine(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-channel (scale, shift) that eval mode applies: gamma / std
+        and beta - mean * gamma / std."""
+        scale = self.gamma.value / np.sqrt(self.running_var + self.eps)
+        return scale, self.beta.value - self.running_mean * scale
 
     def _axes_and_shape(self, x: np.ndarray) -> tuple[tuple[int, ...], tuple[int, ...]]:
         if x.ndim == 2:
@@ -262,9 +288,9 @@ class BatchNorm1d:
             cache = {"x_hat": x_hat}
         elif mode == "eval":
             std = np.sqrt(self.running_var + self.eps)
-            scale = self.gamma.value / std
+            scale, shift = self.eval_affine()
             y = x * scale.reshape(bshape)
-            y += (self.beta.value - self.running_mean * scale).reshape(bshape)
+            y += shift.reshape(bshape)
             cache = {"x": x, "mean": self.running_mean.copy()}
         else:
             raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -352,13 +378,14 @@ class PerChannelLinear:
 def elu(x: np.ndarray) -> tuple[np.ndarray, dict]:
     """ELU with alpha = 1: x for x > 0, exp(x) - 1 otherwise.
 
-    Computed as expm1(min(x, 0)) + max(x, 0): one term is zero at every
-    point, so this is exact, and it needs no branch mask. The cache holds
+    Computed as max(x, expm1(min(x, 0))) in one buffer: for x > 0 the
+    second term is 0, and for x <= 0 it is expm1(x) >= x. This is bitwise
+    expm1(min(x, 0)) + max(x, 0) and needs no branch mask. The cache holds
     the output only, since x <= 0 exactly where y <= 0.
     """
-    y = np.maximum(x, 0.0)
-    neg_part = np.minimum(x, 0.0)
-    y += np.expm1(neg_part, out=neg_part)
+    y = np.minimum(x, 0.0)
+    np.expm1(y, out=y)
+    np.maximum(x, y, out=y)
     return y, {"y": y}
 
 

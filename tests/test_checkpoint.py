@@ -3,12 +3,14 @@ import pytest
 
 from fld.checkpoint import (
     ModelCheckpoint,
+    build_fld_model,
     build_model,
     checkpoint_from_model,
     load_checkpoint,
     save_checkpoint,
 )
 from fld.model import FLDConfig, FLDModel
+from fld.numerics import Adam
 from fld.signals import NormalizationStats
 
 
@@ -61,6 +63,59 @@ def test_final_activation_output_block_round_trips(tmp_path):
     out = model.predict(x, [0, 2])
     assert np.array_equal(out, rebuilt.predict(x, [0, 2]))
     assert -1.0 < out.min() < -0.5  # the output block ends in ELU
+
+
+def moved_checkpoint(final_activation: bool) -> ModelCheckpoint:
+    """A checkpoint whose batch-norm running statistics left their defaults."""
+    ckpt, model = make_checkpoint(seed=5, final_activation=final_activation)
+    model.loss_and_grads(np.random.default_rng(6).normal(size=(4, 3, 3, 9)), mode="train")
+    moved = checkpoint_from_model(model, "fld", ckpt.normalization, 5, 1)
+    assert not np.array_equal(moved.arrays["enc.bn0.running_var"], np.ones(4))
+    return moved
+
+
+def assert_close(got, want, rtol=1e-12):
+    assert np.max(np.abs(np.subtract(got, want))) <= rtol * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("final_activation", [False, True])
+def test_frozen_model_agrees_with_build_model(final_activation):
+    ckpt = moved_checkpoint(final_activation)
+    plain, frozen = build_model(ckpt), build_fld_model(ckpt, "a test")
+    items = np.random.default_rng(7).normal(size=(3, 3, 3, 9))
+    want, got = plain.analyze(items[:, 0]), frozen.analyze(items[:, 0])
+    for g, w in zip(got[:4], want[:4]):
+        assert_close(g, w)
+    assert_close(frozen.render(*got[:4], [0, 1, 2])[0], plain.render(*want[:4], [0, 1, 2])[0])
+    (got_total, got_h), (want_total, want_h) = (frozen.propagation_loss(got, items),
+                                                plain.propagation_loss(want, items))
+    assert_close(got_total, want_total)
+    assert_close(got_h, want_h)
+
+
+@pytest.mark.parametrize("final_activation", [False, True])
+def test_frozen_model_folds_batch_norm_into_the_convs(final_activation):
+    frozen = build_fld_model(moved_checkpoint(final_activation), "a test")
+    names = set(frozen.state_arrays())
+    assert {n for n in names if ".bn" in n} == {
+        "phase.bn.gamma", "phase.bn.beta", "phase.bn.running_mean", "phase.bn.running_var"}
+    assert all(bn is None for _, bn, _ in frozen.encoder + frozen.decoder)
+    convs = [f"enc.conv{i}" for i in range(3)] + [f"dec.conv{i}" for i in range(3)]
+    assert {f"{c}.bias" for c in convs} <= names
+
+
+def test_frozen_model_is_immutable_and_refuses_training():
+    frozen = build_fld_model(moved_checkpoint(False), "a test")
+    for name, arr in frozen.state_arrays().items():
+        assert isinstance(arr.base, bytes) and not arr.flags.writeable, name
+    items = np.random.default_rng(8).normal(size=(3, 3, 3, 9))
+    # the phase head cannot move its running statistics
+    with pytest.raises(ValueError, match="read-only"):
+        frozen.analyze(items[:, 0], mode="train")
+    # gradients still accumulate, but no optimizer can move the weights
+    frozen.loss_and_grads(items, mode="eval")
+    with pytest.raises(ValueError, match="read-only"):
+        Adam(frozen.parameters(), lr=1e-3).step()
 
 
 def test_truncated_file_rejected(tmp_path):

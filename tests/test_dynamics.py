@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fld.checkpoint import build_model
+from fld.checkpoint import build_fld_model, build_model
 from fld.dynamics import (
     GateConfig,
     GateRunner,
@@ -85,7 +85,7 @@ def test_gate_config_accepts_tiny_and_infinite_epsilon(epsilon):
 def test_calibrated_epsilon_is_quantile_of_strided_anchor_losses(fld_checkpoint):
     data = corpus(frames=90)
     gate = calibrate_threshold(fld_checkpoint, data, quantile=0.9, anchor_stride=4)
-    model = build_model(fld_checkpoint)
+    model = build_fld_model(fld_checkpoint, "gate calibration")
     n, window = model.config.horizon, model.config.window
     losses = []
     for traj in data:
@@ -129,6 +129,15 @@ def test_gate_scores_exactly_the_calibration_item(fld_checkpoint):
         want = encode_state(runner.model, pool.item(k)[-1])
         for key in ("phi", "freq", "amp", "offset"):
             assert getattr(decision.state, key).tobytes() == getattr(want, key).tobytes()
+
+
+def test_gate_model_parameters_cannot_be_written(fld_checkpoint):
+    runner = GateRunner(fld_checkpoint, GateConfig(epsilon=1.0))
+    for p in runner.model.parameters():
+        with pytest.raises(ValueError, match="read-only"):
+            p.value[...] = 0.0
+        with pytest.raises(ValueError, match="WRITEABLE"):
+            p.value.setflags(write=True)
 
 
 def test_gate_analyses_each_segment_once(fld_checkpoint, monkeypatch):

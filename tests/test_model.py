@@ -8,10 +8,12 @@ from fld.model import (
     FLDModel,
     VAEBaseline,
     VAEConfig,
+    blocks_forward,
+    fold_batch_norm,
     representation_param_count,
     wrap_phase,
 )
-from fld.numerics import Adam
+from fld.numerics import Adam, BatchNorm1d, Conv1d, elu
 from fourier_oracles import naive_dft
 from gradcheck import gradient_check
 
@@ -139,6 +141,22 @@ class TestEncodeDecode:
         assert np.max(np.abs(z - z[0])) < 1e-12
         s, _ = model.decode(np.random.default_rng(0).normal(size=(1, 2, 16)), "eval")
         assert s.shape == (1, 4, 16)
+
+
+@pytest.mark.parametrize("bias", [False, True])
+def test_fold_batch_norm_matches_the_eval_block(bias):
+    rng = np.random.default_rng(10)
+    conv = Conv1d(3, 4, 5, rng, "c", bias=bias)
+    bn = BatchNorm1d(4, "bn")
+    bn.forward(rng.normal(loc=0.7, scale=2.0, size=(6, 4, 9)), "train")
+    bn.gamma.value[...] = rng.uniform(0.5, 2.0, 4)
+    bn.beta.value[...] = rng.normal(size=4)
+    x = rng.normal(size=(2, 3, 9))
+    want, _ = blocks_forward([(conv, bn, True)], x, elu)
+    folded = fold_batch_norm((conv, bn, True))
+    assert folded[0] is conv and folded[1:] == (None, True) and conv.bias.name == "c.bias"
+    got, _ = blocks_forward([folded], x, elu)
+    assert np.max(np.abs(got - want)) < 1e-14 * np.max(np.abs(want))
 
 
 class TestPredict:

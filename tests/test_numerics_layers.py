@@ -12,6 +12,7 @@ from fld.numerics import (
     elu,
     elu_backward,
     ensure_finite,
+    immutable,
     relu,
     relu_backward,
     softplus,
@@ -146,6 +147,21 @@ class TestConv1d:
         Adam([conv.weight], lr=0.1).step()
         y, _ = conv.forward(x)
         assert np.max(np.abs(y - conv_oracle(x, conv.weight.value, conv.bias.value))) < 1e-12
+
+    def test_immutable_weights_keep_their_blocks_by_identity(self):
+        rng = np.random.default_rng(15)
+        conv = make_conv(3, 4, 7)
+        conv.weight.value = immutable(conv.weight.value)
+        x = rng.normal(size=(2, 3, 12))
+        y, _ = conv.forward(x)
+        blocks = conv._blocks
+        assert np.array_equal(conv.forward(x)[0], y) and conv._blocks is blocks
+        for value in (immutable(0.5 * conv.weight.value), -conv.weight.value):
+            conv.weight.value = value
+            y, _ = conv.forward(x)
+            assert conv._blocks is not blocks
+            blocks = conv._blocks
+            assert np.max(np.abs(y - conv_oracle(x, conv.weight.value, conv.bias.value))) < 1e-12
 
     def test_cold_and_warm_layers_agree_bitwise(self):
         rng = np.random.default_rng(13)
@@ -369,6 +385,15 @@ class TestActivations:
         eps = np.finfo(np.float64).eps
         np.testing.assert_allclose(dx[neg], g[neg] * np.exp(x[neg]), rtol=eps,
                                    atol=eps * np.max(np.abs(g)))
+
+    def test_elu_is_bitwise_the_three_term_form_on_an_edge_grid(self):
+        magnitudes = np.geomspace(5e-324, 1e3, 100_000)
+        subnormals = np.arange(1, 10_001) * 5e-324
+        tiny = np.finfo(np.float64).tiny
+        x = np.concatenate([magnitudes, -magnitudes, subnormals, -subnormals,
+                            [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, tiny, -tiny]])
+        want = np.expm1(np.minimum(x, 0.0)) + np.maximum(x, 0.0)
+        assert elu(x)[0].tobytes() == want.tobytes()
 
     def test_relu_values(self):
         y, _ = relu(np.array([-2.0, 3.0]))
