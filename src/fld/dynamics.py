@@ -228,7 +228,9 @@ class GateRunner:
         frame raises ValueError and leaves the runner unchanged. A frame
         that completes a segment the encoder cannot analyse in finite
         arithmetic raises ValueError too, after emptying the window as a
-        None frame does, so the frame is never scored."""
+        None frame does, so the segment is never scored. Any of that
+        segment's H frames may be at fault: one that overflows during
+        warm-up or after a gap raises only once its segment is complete."""
         cfg = self.model.config
         if frame is None:
             self.frames.clear()
@@ -249,7 +251,8 @@ class GateRunner:
                 self.frames.clear()
                 self.analyses.clear()
                 raise ValueError("gate frame completes a segment that overflows the "
-                                 "encoder; the window was emptied as after a None "
+                                 f"encoder: any of the newest {cfg.window} frames may be "
+                                 "at fault; the window was emptied as after a None "
                                  "frame") from err
             self.analyses.append(analysis)
             if len(self.frames) == self.frames.maxlen:

@@ -113,8 +113,20 @@ def block_parameters(blocks: list) -> list[Parameter]:
     return params
 
 
+class ConfigDict:
+    """``to_dict``/``from_dict`` of the model configs: a JSON-ready dict of
+    the fields, with tuples stored as lists."""
+
+    def to_dict(self) -> dict:
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
+
+    @classmethod
+    def from_dict(cls, data: dict):
+        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in data.items()})
+
+
 @dataclass
-class FLDConfig:
+class FLDConfig(ConfigDict):
     dims: int = 27              # state dimensions d
     channels: int = 8           # latent channels c
     window: int = 51            # segment length H
@@ -149,13 +161,6 @@ class FLDConfig:
     def time_grid(self) -> np.ndarray:
         h = self.window
         return (np.arange(h) - (h - 1)) * self.dt
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FLDConfig":
-        return cls(**data)
 
 
 class FLDModel:
@@ -272,8 +277,7 @@ class FLDModel:
         carry no gradient through the frequency/amplitude path.
         """
         h, dt = self.config.window, self.config.dt
-        spec = rfft(z)
-        re, im = spec.real, spec.imag
+        re, im = rfft(z)
         offset = re[..., 0] / h
         power = re[..., 1:] ** 2 + im[..., 1:] ** 2
         total = power.sum(axis=-1)
@@ -472,24 +476,13 @@ def representation_param_count(model_kind: str, d: int, c: int, h: int, traj_len
 
 
 @dataclass
-class VAEConfig:
+class VAEConfig(ConfigDict):
     dims: int = 27
     window: int = 51
     latent: int = 8
     hidden: tuple[int, ...] = (512, 256, 128)
     beta: float = 1e-3
     dt: float = 0.02
-
-    def to_dict(self) -> dict:
-        out = asdict(self)
-        out["hidden"] = list(self.hidden)
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "VAEConfig":
-        data = dict(data)
-        data["hidden"] = tuple(data["hidden"])
-        return cls(**data)
 
 
 class VAEBaseline:
@@ -569,22 +562,11 @@ class VAEBaseline:
 
 
 @dataclass
-class FFConfig:
+class FFConfig(ConfigDict):
     dims: int = 27
     window: int = 51
     hidden: tuple[int, ...] = (512, 512)
     dt: float = 0.02
-
-    def to_dict(self) -> dict:
-        out = asdict(self)
-        out["hidden"] = list(self.hidden)
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FFConfig":
-        data = dict(data)
-        data["hidden"] = tuple(data["hidden"])
-        return cls(**data)
 
 
 class FFBaseline:

@@ -1,5 +1,5 @@
 """Minimal differentiable-computation toolkit: float64 layers with
-hand-derived backward passes, a real FFT with its backward rule, and Adam."""
+hand-derived backward passes, a matrix real DFT with its backward rule, and Adam."""
 
 from .fourier import rfft, rfft_backward
 from .layers import (

@@ -2,7 +2,7 @@
 
 All arrays are float64. Layers are stateless between calls except for their
 parameters (and batch-norm running statistics, which only a train-mode
-forward mutates, and the kernel spectra a convolution derives from its
+forward mutates, and the kernel blocks a convolution derives from immutable
 weights): ``forward`` returns ``(output, cache)`` and ``backward``
 consumes the cache, accumulates parameter gradients and returns the input
 gradient. Callers own the optimizer state and the train/eval mode choice.
@@ -10,25 +10,21 @@ gradient. Callers own the optimizer state and the train/eval mode choice.
 The per-element passes make only the full-size arrays their math needs and
 keep no buffer between calls: train-mode batch norm caches x_hat only, eval
 batch norm is one per-channel scale and shift, and ELU caches its output
-only. A convolution runs as three real matrix products: a DFT matrix takes
-each segment to its spectrum, one matmul per frequency bin mixes the
-channels, and a second DFT matrix brings back only the L outputs. At these
-short lengths one BLAS call on a dense DFT matrix is cheaper than an FFT
-row by row, and the layout each product writes is the one the next reads.
+only. A convolution runs as three real matrix products against the cached
+DFT matrices of :func:`fourier.dft_matrices`: one takes each segment to its
+spectrum, one matmul per frequency bin mixes the channels, and one brings
+back only the L outputs, each in the layout the next product reads.
 
-A convolution keeps the per-bin kernel blocks it derives from its weights
-and checks them before each use. Writable weights are compared by value
-with the copy the blocks were built from, since optimizers and tests
-write them in place. Immutable weights (see :func:`immutable`) cannot
-change, so their blocks are current as long as the weight is the same
-array object.
+A convolution keeps the kernel blocks it derives from immutable weights
+(see :func:`immutable`) while the weight is the same array object; writable
+weights, which optimizers and tests write in place, get fresh blocks.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
+
+from .fourier import dft_matrices
 
 
 def ensure_finite(arr: np.ndarray, what: str) -> np.ndarray:
@@ -66,39 +62,6 @@ def _uniform_init(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int)
     return rng.uniform(-bound, bound, size=shape)
 
 
-@lru_cache(maxsize=16)
-def _dft_matrices(length: int, kernel_size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Real DFT matrices at the alias-free length m = L + (k - 1)/2, with
-    rows (bin j real part, bin j imaginary part) for j = 0..m//2:
-
-    - ``forward`` (2 bins, L): ``forward @ x`` is ``rfft(x, n=m)``;
-    - ``inverse`` (2 bins, L): ``spectrum @ inverse`` is ``irfft(spectrum, n=m)[:L]``;
-    - ``kernel`` (2 bins, k): ``kernel @ w`` is ``conj(rfft(lags, n=m))``,
-      where the lags -pad..pad of w sit at index s mod m.
-
-    Cached per (L, k) and read-only, since every call shares them.
-    """
-    pad = (kernel_size - 1) // 2
-    m = length + pad
-    bins = np.arange(m // 2 + 1)[:, None]
-
-    def cos_sin(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # j*n is reduced mod m as an integer, so every angle lies in [0, 2*pi)
-        angle = (2.0 * np.pi / m) * ((bins * n) % m)
-        return np.cos(angle), np.sin(angle)
-
-    c, s = cos_sin(np.arange(length))
-    forward = np.stack([c, -s], axis=1).reshape(-1, length)
-    # irfft counts every bin but 0 and m/2 twice, for its conjugate
-    weight = np.where((bins == 0) | (2 * bins == m), 1.0, 2.0) / m
-    inverse = forward * np.repeat(weight, 2, axis=0)
-    c, s = cos_sin(np.arange(-pad, pad + 1))
-    kernel = np.stack([c, s], axis=1).reshape(-1, kernel_size)
-    for a in (forward, inverse, kernel):
-        a.setflags(write=False)
-    return forward, inverse, kernel
-
-
 class Conv1d:
     """Same-padded 1D cross-correlation, stride 1, odd kernel.
 
@@ -107,7 +70,7 @@ class Conv1d:
     unpadded input, the kernel's lags placed circularly around index 0 and
     every weight-gradient lag and input-gradient sample stay clear of the
     circular wrap. Each step is a real matrix product against the cached
-    DFT matrices of :func:`_dft_matrices`:
+    DFT matrices of :func:`fourier.dft_matrices`:
 
     - the input spectra ``forward @ x_b^T``, laid out (B, bins, [Re | Im] x I);
     - per bin, [Re X | Im X] @ [[P, Q], [-Q, P]] = [Re Y | Im Y], where
@@ -117,13 +80,10 @@ class Conv1d:
 
     The backward pass runs the transposes of the same three steps for dx,
     and takes dW's lags from the bin blocks' gradient through the kernel
-    matrix. The bin blocks are kept on the layer. For writable weights they
-    are rebuilt only when the weights differ, by value, from the copy they
-    were built from: optimizers and tests write weights in place. For
-    immutable weights (an array over ``bytes``, see :func:`immutable`) they
-    are reused while the weight is the very array they were built from, and
-    rebuilt when ``weight.value`` is replaced. This must match the naive
-    sliding dot product to 1e-12 and the test suite holds it to that.
+    matrix. The bin blocks are kept on the layer only for immutable weights
+    (an array over ``bytes``, see :func:`immutable`), while the weight is
+    the very array they were built from. This must match the naive sliding
+    dot product to 1e-12 and the test suite holds it to that.
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
@@ -139,8 +99,7 @@ class Conv1d:
         # a bias is pointless (and makes gradients degenerate) when the layer
         # feeds straight into batch norm, so model code may drop it
         self.bias = Parameter(f"{name}.bias", _uniform_init(rng, (out_channels,), fan_in)) if bias else None
-        # (L, the immutable weights the blocks were built from or a copy of
-        # the writable ones, blocks)
+        # (L, the immutable weights the blocks were built from, blocks)
         self._blocks: tuple[int, np.ndarray, np.ndarray] | None = None
 
     def parameters(self) -> list[Parameter]:
@@ -156,13 +115,11 @@ class Conv1d:
         """Per-bin real form [[P, Q], [-Q, P]] of the kernel's conjugate
         spectrum P + iQ, as (bins, 2I, 2O)."""
         w = self.weight.value
-        fixed = isinstance(w.base, bytes)
         if self._blocks is not None:
             built_length, built_from, blocks = self._blocks
-            if built_length == length and (built_from is w if fixed
-                                           else np.array_equal(w, built_from)):
+            if built_length == length and built_from is w:
                 return blocks
-        _, _, kernel = _dft_matrices(length, self.kernel_size)
+        _, _, kernel = dft_matrices(length, self.kernel_size)
         i, o = self.in_channels, self.out_channels
         spec = kernel @ w.transpose(2, 1, 0).reshape(self.kernel_size, i * o)
         spec = spec.reshape(-1, 2, i, o)
@@ -170,13 +127,13 @@ class Conv1d:
         blocks[:, :i, :o] = blocks[:, i:, o:] = spec[:, 0]
         blocks[:, :i, o:] = spec[:, 1]
         np.negative(spec[:, 1], out=blocks[:, i:, :o])
-        self._blocks = (length, w if fixed else w.copy(), blocks)
+        self._blocks = (length, w, blocks) if isinstance(w.base, bytes) else None
         return blocks
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, dict]:
         x = self._check_input(x)
         batch, _, length = x.shape
-        forward_dft, inverse_dft, _ = _dft_matrices(length, self.kernel_size)
+        forward_dft, inverse_dft, _ = dft_matrices(length, self.kernel_size)
         blocks = self._kernel_blocks(length)
         bins, o = blocks.shape[0], self.out_channels
 
@@ -192,7 +149,7 @@ class Conv1d:
 
     def backward(self, g: np.ndarray, cache: dict) -> np.ndarray:
         x_spec, blocks, length = cache["x_spec"], cache["blocks"], cache["length"]
-        forward_dft, inverse_dft, kernel = _dft_matrices(length, self.kernel_size)
+        forward_dft, inverse_dft, kernel = dft_matrices(length, self.kernel_size)
         batch, bins = x_spec.shape[:2]
         i, o = self.in_channels, self.out_channels
 

@@ -10,8 +10,8 @@ def quantile_midpoint(values: np.ndarray, q: float) -> float:
     """Empirical quantile with midpoint interpolation at exact rank boundaries.
 
     With sorted x_1..x_n and h = q*n: when h lands on an integer below n the
-    result is (x_h + x_{h+1}) / 2, otherwise x_ceil(h). q = 1 gives the max;
-    q = 0.5 on {1,2,3,4} gives 2.5.
+    result is (x_h + x_{h+1}) / 2, otherwise x_ceil(h). q = 1 gives the max,
+    q*n < 1 the min; q = 0.5 on {1,2,3,4} gives 2.5.
     """
     if not 0.0 < q <= 1.0:
         raise ValueError(f"quantile must be in (0, 1], got {q}")
@@ -21,9 +21,9 @@ def quantile_midpoint(values: np.ndarray, q: float) -> float:
         raise ValueError("empty sample")
     h = q * n
     lo = int(np.floor(h + 1e-12))
-    if abs(h - lo) < 1e-12 and lo < n:
+    if abs(h - lo) < 1e-12 and 1 <= lo < n:
         return float(0.5 * (x[lo - 1] + x[lo]))
-    return float(x[min(int(np.ceil(h - 1e-12)), n) - 1])
+    return float(x[min(max(int(np.ceil(h - 1e-12)), 1), n) - 1])
 
 
 def pca_project_2d(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -82,6 +82,17 @@ def test_gate_config_accepts_tiny_and_infinite_epsilon(epsilon):
     assert GateConfig(epsilon=epsilon).epsilon == epsilon
 
 
+@pytest.mark.parametrize("values, q, want", [
+    ([1, 2, 3, 4], 0.5, 2.5),             # q*n on a rank boundary: the midpoint
+    ([1, 2, 3, 4], 1.0, 4.0),
+    ([1, 2, 3, 4, 100], 0.3, 2.0),
+    ([1, 2, 3, 4, 100], 1e-13, 1.0),      # q*n < 1: the min, not a wrap to the max
+    ([100, 4, 3, 2, 1], 0.1, 1.0),
+])
+def test_quantile_midpoint(values, q, want):
+    assert quantile_midpoint(np.array(values), q) == want
+
+
 def test_calibrated_epsilon_is_quantile_of_strided_anchor_losses(fld_checkpoint):
     data = corpus(frames=90)
     gate = calibrate_threshold(fld_checkpoint, data, quantile=0.9, anchor_stride=4)
@@ -209,6 +220,24 @@ def test_runner_treats_a_frame_the_encoder_overflows_as_a_gap(fld_checkpoint):
     verdicts = [(d[0], d[1]) for d in got]
     assert verdicts == [(d[0], d[1]) for d in want]
     assert {"accepted", "rejected"} & {v for v, _ in verdicts[split:]}
+
+
+def test_runner_raises_a_warm_up_overflow_when_its_segment_completes(fld_checkpoint):
+    frames = list(corpus(1, frames=70)[0].frames)
+    frames[5] = np.r_[1e308, np.zeros(frames[5].shape[0] - 1)]
+    probed = GateRunner(fld_checkpoint, GateConfig(epsilon=1.0))
+    gapped = GateRunner(fld_checkpoint, GateConfig(epsilon=1.0))
+    h = probed.model.config.window
+    got = decisions_of(probed, frames[:h - 1])
+    with pytest.raises(ValueError, match=f"gate frame.*newest {h} frames"):
+        probed.step(frames[h - 1])
+    assert len(probed.frames) == len(probed.analyses) == 0
+    got += decisions_of(probed, frames[h:])
+    want = decisions_of(gapped, frames[:h - 1] + [None] + frames[h:])
+    del want[h - 1]  # the gap's own no_input decision
+    verdicts = [(d[0], d[1]) for d in got]
+    assert verdicts == [(d[0], d[1]) for d in want]
+    assert {"accepted", "rejected"} & {v for v, _ in verdicts}
 
 
 def test_fallback_stream_is_the_synthesis_rollout(fld_checkpoint):

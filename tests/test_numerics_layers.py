@@ -18,7 +18,7 @@ from fld.numerics import (
     softplus,
     softplus_backward,
 )
-from fld.numerics.layers import _dft_matrices
+from fld.numerics.fourier import dft_matrices
 
 
 def conv_oracle(x, w, b):
@@ -117,7 +117,7 @@ class TestConv1d:
 
     @pytest.mark.parametrize("cin,cout,k,length,m", SHAPES)
     def test_dft_matrices_match_numpy_fft(self, cin, cout, k, length, m):
-        forward, inverse, kernel = _dft_matrices(length, k)
+        forward, inverse, kernel = dft_matrices(length, k)
         rng = np.random.default_rng(14)
         x = rng.normal(size=(5, length))
         spec = np.fft.rfft(x, n=m)
@@ -162,13 +162,26 @@ class TestConv1d:
             assert conv._blocks is not blocks
             blocks = conv._blocks
             assert np.max(np.abs(y - conv_oracle(x, conv.weight.value, conv.bias.value))) < 1e-12
+        # the writable weights last set keep no blocks
+        assert blocks is None
+
+    def test_writable_weights_keep_no_blocks(self):
+        rng = np.random.default_rng(16)
+        conv = make_conv(3, 4, 7)
+        y, cache = conv.forward(rng.normal(size=(2, 3, 12)))
+        assert conv._blocks is None
+        conv.backward(np.ones_like(y), cache)
+        assert conv._blocks is None
 
     def test_cold_and_warm_layers_agree_bitwise(self):
         rng = np.random.default_rng(13)
         x = rng.normal(size=(2, 3, 51))
-        warm = make_conv(3, 4, 51)
+        warm, cold = make_conv(3, 4, 51), make_conv(3, 4, 51)
+        for conv in (warm, cold):
+            conv.weight.value = immutable(conv.weight.value)
         warm.forward(rng.normal(size=(5, 3, 51)))
-        assert np.array_equal(warm.forward(x)[0], make_conv(3, 4, 51).forward(x)[0])
+        assert warm._blocks is not None
+        assert np.array_equal(warm.forward(x)[0], cold.forward(x)[0])
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ValueError):
