@@ -74,13 +74,22 @@ def blocks_forward(blocks: list, x: np.ndarray, act, mode: str = "eval"
 
 def blocks_backward(blocks: list, g: np.ndarray, caches: list, act_backward) -> np.ndarray:
     """Gradient with respect to the input of :func:`blocks_forward`;
-    accumulates every block's parameter gradients."""
-    for (layer, bn, activated), (c_layer, c_bn, c_act) in zip(reversed(blocks),
-                                                              reversed(caches)):
+    accumulates every block's parameter gradients. Consumes ``caches``, as
+    each cache feeds exactly one backward: it pops each block's triple, last
+    block first, and drops each stage's cache (activation, batch norm,
+    layer) once its backward has run, so the list ends empty and a consumed
+    activation is freed before the next stage runs."""
+    if len(caches) < len(blocks):
+        raise ValueError(f"{len(caches)} caches for {len(blocks)} blocks; "
+                         "a cache list feeds one backward")
+    for layer, bn, activated in reversed(blocks):
+        c_layer, c_bn, c_act = caches.pop()
         if activated:
             g = act_backward(g, c_act)
+        c_act = None
         if bn is not None:
             g = bn.backward(g, c_bn)
+        c_bn = None
         g = layer.backward(g, c_layer)
     return g
 
@@ -97,7 +106,7 @@ def fold_batch_norm(block: tuple) -> tuple:
     scale, shift = bn.eval_affine()
     conv.weight.value = conv.weight.value * scale[:, None, None]
     if conv.bias is None:
-        conv.bias = Parameter(conv.weight.name.rsplit(".", 1)[0] + ".bias", shift)
+        conv.bias = Parameter(f"{conv.name}.bias", shift)
     else:
         conv.bias.value = conv.bias.value * scale + shift
     return conv, None, activated
@@ -402,11 +411,12 @@ class FLDModel:
                          ) -> tuple[float, np.ndarray]:
         """Propagation loss sum_i alpha^i * MSE(decoded i-step prediction,
         target i) of anchors already analysed: ``analysis`` is what
-        :meth:`analyze` returned, whose caches are read only when
-        ``want_grads``, and ``targets`` (B, N+1, d, H) holds each anchor's
-        i-step future segment in slot i. ``alpha`` overrides the config's
-        decay. Returns (total, per-horizon losses) and accumulates parameter
-        gradients when ``want_grads``."""
+        :meth:`analyze` returned, and ``targets`` (B, N+1, d, H) holds each
+        anchor's i-step future segment in slot i. ``alpha`` overrides the
+        config's decay. Returns (total, per-horizon losses) and accumulates
+        parameter gradients when ``want_grads``. Then the backward consumes
+        the caches in ``analysis``, as a cache feeds one backward; without
+        ``want_grads`` they are left as they are."""
         phi, f, amp, off = analysis[:4]
         batch, n_steps, d, h = targets.shape
         shat, (rec_cache, dec_cache) = self.render(phi, f, amp, off, np.arange(n_steps), mode)
@@ -418,7 +428,9 @@ class FLDModel:
 
         if want_grads:
             enc_cache, par_cache = analysis[4]
-            grad_shat = (2.0 / (batch * d * h)) * diff * weights[None, :, None, None]
+            grad_shat = diff  # built in place, in the order (scale * diff) * weights
+            grad_shat *= 2.0 / (batch * d * h)
+            grad_shat *= weights[None, :, None, None]
             grad_zhat = self.decode_backward(grad_shat.reshape(batch * n_steps, d, h), dec_cache)
             grad_zhat = grad_zhat.reshape(batch, n_steps, self.config.channels, h)
             d_phi, d_f, d_amp, d_off = self.reconstruct_latent_backward(grad_zhat, rec_cache)

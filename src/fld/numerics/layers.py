@@ -4,8 +4,12 @@ All arrays are float64. Layers are stateless between calls except for their
 parameters (and batch-norm running statistics, which only a train-mode
 forward mutates, and the kernel blocks a convolution derives from immutable
 weights): ``forward`` returns ``(output, cache)`` and ``backward``
-consumes the cache, accumulates parameter gradients and returns the input
-gradient. Callers own the optimizer state and the train/eval mode choice.
+accumulates parameter gradients and returns the input gradient. A cache
+feeds exactly one backward and is consumed by it: a convolution removes its
+input spectrum from the cache once dW has read it, and a second backward on
+that cache raises. The block walk in ``fld.model`` drops the batch-norm
+and activation caches once their backward has run. Callers own the
+optimizer state and the train/eval mode choice.
 
 The per-element passes make only the full-size arrays their math needs and
 keep no buffer between calls: train-mode batch norm caches x_hat only, eval
@@ -78,18 +82,21 @@ class Conv1d:
       complex product;
     - the outputs t < L only, ``Y_b^T @ inverse``, contiguous (B, O, L).
 
-    The backward pass runs the transposes of the same three steps for dx,
-    and takes dW's lags from the bin blocks' gradient through the kernel
-    matrix. The bin blocks are kept on the layer only for immutable weights
-    (an array over ``bytes``, see :func:`immutable`), while the weight is
-    the very array they were built from. This must match the naive sliding
-    dot product to 1e-12 and the test suite holds it to that.
+    The backward pass takes dW before dx. dW's lags come from the bin
+    blocks' gradient through the kernel matrix; that is the input spectrum's
+    last use, so the spectrum leaves the cache and is released there, before
+    the transposes of the forward's steps build dx in its place. The bin
+    blocks are kept on the layer only for immutable weights (an array over
+    ``bytes``, see :func:`immutable`), while the weight is the very array
+    they were built from. This must match the naive sliding dot product to
+    1e-12 and the test suite holds it to that.
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
                  rng: np.random.Generator, name: str, bias: bool = True):
         if kernel_size % 2 == 0:
             raise ValueError(f"kernel size must be odd, got {kernel_size}")
+        self.name = name
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel_size = kernel_size
@@ -148,29 +155,40 @@ class Conv1d:
         return y, {"x_spec": x_spec, "blocks": blocks, "length": length}
 
     def backward(self, g: np.ndarray, cache: dict) -> np.ndarray:
-        x_spec, blocks, length = cache["x_spec"], cache["blocks"], cache["length"]
+        if "x_spec" not in cache:
+            raise ValueError(f"{self.name}: backward cache already consumed; "
+                             "a cache feeds one backward")
+        blocks, length = cache["blocks"], cache["length"]
         forward_dft, inverse_dft, kernel = dft_matrices(length, self.kernel_size)
-        batch, bins = x_spec.shape[:2]
-        i, o = self.in_channels, self.out_channels
+        batch, bins = cache["x_spec"].shape[:2]
+        i = self.in_channels
 
         if self.bias is not None:
             self.bias.grad += g.sum(axis=(0, 2))
 
-        # dx: the forward's three products transposed, last first
-        g_spec = np.matmul(inverse_dft, g.transpose(0, 2, 1)).reshape(batch, bins, 2 * o)
+        # the forward's last product transposed, shared by dW and dx
+        g_spec = np.matmul(inverse_dft, g.transpose(0, 2, 1)).reshape(batch, bins, -1)
+        # dW first: the spectrum's last use, so it leaves the cache with it
+        self._weight_backward(cache.pop("x_spec"), g_spec, kernel)
+
+        # dx: the forward's first two products transposed, last first
         dx_spec = np.empty((batch, bins, 2 * i))
         np.matmul(g_spec.transpose(1, 0, 2), blocks.transpose(0, 2, 1),
                   out=dx_spec.transpose(1, 0, 2))
-        dx = np.matmul(dx_spec.reshape(batch, 2 * bins, i).transpose(0, 2, 1), forward_dft)
+        del g_spec
+        return np.matmul(dx_spec.reshape(batch, 2 * bins, i).transpose(0, 2, 1), forward_dft)
 
-        # dW: each bin block's gradient folded onto P and Q, then onto the lags
+    def _weight_backward(self, x_spec: np.ndarray, g_spec: np.ndarray,
+                         kernel: np.ndarray) -> None:
+        """Accumulate dW: each bin block's gradient folded onto P and Q,
+        then onto the lags."""
+        bins, i, o = x_spec.shape[1], self.in_channels, self.out_channels
         d_blocks = np.matmul(x_spec.transpose(1, 2, 0), g_spec.transpose(1, 0, 2))
         d_spec = np.empty((bins, 2, i, o))
         np.add(d_blocks[:, :i, :o], d_blocks[:, i:, o:], out=d_spec[:, 0])
         np.subtract(d_blocks[:, :i, o:], d_blocks[:, i:, :o], out=d_spec[:, 1])
         d_lags = kernel.T @ d_spec.reshape(2 * bins, i * o)
         self.weight.grad += d_lags.reshape(self.kernel_size, i, o).transpose(2, 1, 0)
-        return dx
 
 
 def _channel_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:

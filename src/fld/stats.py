@@ -20,10 +20,13 @@ def quantile_midpoint(values: np.ndarray, q: float) -> float:
     if n == 0:
         raise ValueError("empty sample")
     h = q * n
-    lo = int(np.floor(h + 1e-12))
-    if abs(h - lo) < 1e-12 and 1 <= lo < n:
+    # relative to h: an absolute tolerance falls below the float64 spacing
+    # of h once n is in the tens of thousands
+    tol = 1e-12 * h
+    lo = int(np.floor(h + tol))
+    if abs(h - lo) < tol and 1 <= lo < n:
         return float(0.5 * (x[lo - 1] + x[lo]))
-    return float(x[min(max(int(np.ceil(h - 1e-12)), 1), n) - 1])
+    return float(x[min(max(int(np.ceil(h - tol)), 1), n) - 1])
 
 
 def pca_project_2d(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

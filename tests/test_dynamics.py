@@ -88,6 +88,7 @@ def test_gate_config_accepts_tiny_and_infinite_epsilon(epsilon):
     ([1, 2, 3, 4, 100], 0.3, 2.0),
     ([1, 2, 3, 4, 100], 1e-13, 1.0),      # q*n < 1: the min, not a wrap to the max
     ([100, 4, 3, 2, 1], 0.1, 1.0),
+    (np.arange(1, 17076.0), 0.56, 9562.5),  # q*n = 9562.000000000002: still a rank boundary
 ])
 def test_quantile_midpoint(values, q, want):
     assert quantile_midpoint(np.array(values), q) == want

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from fld.model import (
     representation_param_count,
     wrap_phase,
 )
-from fld.numerics import Adam, BatchNorm1d, Conv1d, elu
+from fld.numerics import Adam, BatchNorm1d, Conv1d, elu, elu_backward
 from fourier_oracles import naive_dft
 from gradcheck import gradient_check
 
@@ -157,6 +159,67 @@ def test_fold_batch_norm_matches_the_eval_block(bias):
     assert folded[0] is conv and folded[1:] == (None, True) and conv.bias.name == "c.bias"
     got, _ = blocks_forward([folded], x, elu)
     assert np.max(np.abs(got - want)) < 1e-14 * np.max(np.abs(want))
+
+
+def consumption_order(blocks, caches):
+    """Weakrefs to the arrays each stage's backward consumes, in the order
+    :func:`blocks_backward` runs the stages (a function, so that no loop
+    variable of the caller keeps a cache alive)."""
+    refs = []
+    for (_, bn, activated), (c_layer, c_bn, c_act) in zip(reversed(blocks), reversed(caches)):
+        if activated:
+            refs.append(weakref.ref(c_act["y"]))
+        if bn is not None:
+            refs.append(weakref.ref(c_bn["x_hat"]))
+        refs.append(weakref.ref(c_layer["x_spec"]))
+    return refs
+
+
+@pytest.mark.parametrize("final_activation", [False, True])
+def test_decode_backward_frees_each_cache_once_consumed(final_activation, monkeypatch):
+    model = tiny_model(final_activation=final_activation)
+    rng = np.random.default_rng(11)
+    shat, (_, caches) = model.render(*rng.normal(size=(4, 3, 2)), [0, 1], mode="train")
+    g = np.ones((shat.shape[0] * shat.shape[1],) + shat.shape[2:])
+    del shat  # with a final activation it is that ELU's cached output
+    consumed = consumption_order(model.decoder, caches)
+    live_at_stage = []
+
+    def spy(stage):
+        def run(grad, cache):
+            live_at_stage.append(sum(r() is not None for r in consumed[:len(live_at_stage)]))
+            return stage(grad, cache)
+        return run
+
+    for layer, bn, _ in model.decoder:
+        layer.backward = spy(layer.backward)
+        if bn is not None:
+            bn.backward = spy(bn.backward)
+    monkeypatch.setattr("fld.model.elu_backward", spy(elu_backward))
+    model.decode_backward(g, caches)
+    # each stage ran after every earlier stage's cache was freed
+    assert live_at_stage == [0] * len(consumed)
+    assert caches == [] and all(r() is None for r in consumed)
+
+
+def test_blocks_backward_rejects_a_short_or_consumed_cache_list():
+    model = tiny_model()
+    z = np.random.default_rng(12).normal(size=(3, 2, 16))
+    out, caches = model.decode(z, "train")
+    with pytest.raises(ValueError, match="2 caches for 3 blocks"):
+        model.decode_backward(np.ones_like(out), caches[:2])
+    model.decode_backward(np.ones_like(out), caches)
+    with pytest.raises(ValueError, match="0 caches for 3 blocks"):
+        model.decode_backward(np.ones_like(out), caches)
+
+
+def test_propagation_loss_with_grads_consumes_the_analysis_caches():
+    model = tiny_model()
+    items = np.random.default_rng(13).normal(size=(3, 4, 4, 16))
+    analysis = model.analyze(items[:, 0], "train")
+    enc_caches = analysis[4][0]
+    model.propagation_loss(analysis, items, "train", want_grads=True)
+    assert enc_caches == []
 
 
 class TestPredict:

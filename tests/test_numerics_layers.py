@@ -1,3 +1,6 @@
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -172,6 +175,37 @@ class TestConv1d:
         assert conv._blocks is None
         conv.backward(np.ones_like(y), cache)
         assert conv._blocks is None
+
+    def test_backward_consumes_its_spectrum(self):
+        rng = np.random.default_rng(17)
+        conv = Conv1d(3, 4, 5, rng, "dec.conv1")
+        y, cache = conv.forward(rng.normal(size=(2, 3, 9)))
+        spectrum = weakref.ref(cache["x_spec"])
+        conv.backward(np.ones_like(y), cache)
+        # the caller still holds the cache; the spectrum is gone from it
+        assert "x_spec" not in cache and spectrum() is None
+        with pytest.raises(ValueError, match="dec.conv1: backward cache already consumed"):
+            conv.backward(np.ones_like(y), cache)
+
+    def test_backward_frees_the_spectrum_before_building_dx(self):
+        # dW reads the spectrum first and frees it, so dx's spectrum takes
+        # its place: above the forward's memory the backward needs g's
+        # spectrum and dW's bin buffers only, where holding the input
+        # spectrum to the end would need two spectra at least
+        rng = np.random.default_rng(18)
+        conv = make_conv(4, 4, 5)
+        x, g = rng.normal(size=(2, 64, 4, 20))
+        tracemalloc.start()
+        try:
+            _, cache = conv.forward(x)
+            spectrum_bytes = cache["x_spec"].nbytes
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            conv.backward(g, cache)
+            extra = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert extra < 1.6 * spectrum_bytes
 
     def test_cold_and_warm_layers_agree_bitwise(self):
         rng = np.random.default_rng(13)
