@@ -6,6 +6,9 @@ comparison baselines.
 Conventions
 -----------
 * A segment is (d, H) with columns oldest to newest; batches are (B, d, H).
+  The encoder and decoder run time-major, on (H, C, B), the transpose
+  ``.T`` of a segment batch: ``encode``, ``decode`` and their backwards take
+  and return (B, C, H) views and flip the layout once at that boundary.
 * The reconstruction time grid is T = (-(H-1)*dt, ..., -dt, 0): the phase
   indexes the newest frame, so advancing phase by f*dt moves the window
   exactly one frame.
@@ -249,16 +252,18 @@ class FLDModel:
         if x.shape[1] != self.config.dims or x.shape[2] != self.config.window:
             raise ValueError(f"expected segments (batch, {self.config.dims}, "
                              f"{self.config.window}), got {x.shape}")
-        return blocks_forward(self.encoder, x, elu, mode)
+        z, caches = blocks_forward(self.encoder, x.T, elu, mode)
+        return z.T, caches
 
     def encode_backward(self, grad_z: np.ndarray, caches: list) -> np.ndarray:
-        return blocks_backward(self.encoder, grad_z, caches, elu_backward)
+        return blocks_backward(self.encoder, grad_z.T, caches, elu_backward).T
 
     def decode(self, latent: np.ndarray, mode: str = "eval") -> tuple[np.ndarray, list]:
-        return blocks_forward(self.decoder, latent, elu, mode)
+        shat, caches = blocks_forward(self.decoder, latent.T, elu, mode)
+        return shat.T, caches
 
     def decode_backward(self, grad_out: np.ndarray, caches: list) -> np.ndarray:
-        return blocks_backward(self.decoder, grad_out, caches, elu_backward)
+        return blocks_backward(self.decoder, grad_out.T, caches, elu_backward).T
 
     # -- parameterization -------------------------------------------------
 
@@ -339,7 +344,8 @@ class FLDModel:
         """Latent curves a*sin(2*pi*(f*(T + i*dt) + phi)) + b.
 
         ``step_offsets`` lists the propagation steps i (default just [0]);
-        output is (B, n_steps, c, H).
+        output is (B, n_steps, c, H), a view of a time-major buffer, so
+        :meth:`decode` reads it without a copy.
         """
         phi = np.atleast_2d(np.asarray(phi, dtype=np.float64))
         freq = np.atleast_2d(np.asarray(freq, dtype=np.float64))
@@ -356,7 +362,10 @@ class FLDModel:
         angle = 2.0 * np.pi * (freq[:, None, :, None] * tg[None, None, None, :]
                                + advanced[..., None])
         sin_a = np.sin(angle)
-        zhat = amp[:, None, :, None] * sin_a + offset[:, None, :, None]
+        batch, n_steps, c, h = sin_a.shape
+        zhat = np.empty((h, c, batch, n_steps)).transpose(2, 3, 1, 0)
+        np.multiply(amp[:, None, :, None], sin_a, out=zhat)
+        zhat += offset[:, None, :, None]
         cache = {"sin": sin_a, "angle": angle, "amp": amp, "times": times}
         return zhat, cache
 
@@ -421,8 +430,11 @@ class FLDModel:
         batch, n_steps, d, h = targets.shape
         shat, (rec_cache, dec_cache) = self.render(phi, f, amp, off, np.arange(n_steps), mode)
 
-        diff = shat - targets
-        per_horizon = np.mean(diff ** 2, axis=(0, 2, 3))
+        # time-major (H, d, B, N+1), like shat, which nothing reads after this
+        diff = np.empty((h, d, batch, n_steps))
+        np.subtract(shat.transpose(3, 2, 0, 1), targets.transpose(3, 2, 0, 1), out=diff)
+        del shat
+        per_horizon = np.mean(diff ** 2, axis=(0, 1, 2))
         weights = (self.config.alpha if alpha is None else alpha) ** np.arange(n_steps)
         total = float(weights @ per_horizon)
 
@@ -430,8 +442,8 @@ class FLDModel:
             enc_cache, par_cache = analysis[4]
             grad_shat = diff  # built in place, in the order (scale * diff) * weights
             grad_shat *= 2.0 / (batch * d * h)
-            grad_shat *= weights[None, :, None, None]
-            grad_zhat = self.decode_backward(grad_shat.reshape(batch * n_steps, d, h), dec_cache)
+            grad_shat *= weights
+            grad_zhat = self.decode_backward(grad_shat.reshape(h, d, -1).T, dec_cache)
             grad_zhat = grad_zhat.reshape(batch, n_steps, self.config.channels, h)
             d_phi, d_f, d_amp, d_off = self.reconstruct_latent_backward(grad_zhat, rec_cache)
             dz = self.parameterize_backward(d_phi, d_f, d_amp, d_off, par_cache)
@@ -464,22 +476,6 @@ class FLDModel:
         """One training step's loss and gradients, plus its logged extras."""
         total, per_horizon = self.loss_and_grads(items, mode="train")
         return total, {"per_horizon": per_horizon}
-
-
-def representation_param_count(model_kind: str, d: int, c: int, h: int, traj_len: int) -> int:
-    """Number of coefficients each representation needs for one trajectory."""
-    if traj_len < h:
-        raise ValueError(f"trajectory length {traj_len} is shorter than the window {h}")
-    kind = model_kind.lower()
-    if kind == "original":
-        return d * traj_len
-    if kind == "vae":
-        return c * (traj_len - h + 1)
-    if kind == "pae":
-        return 4 * c * (traj_len - h + 1)
-    if kind == "fld":
-        return 4 * c
-    raise ValueError(f"unknown model kind {model_kind!r}")
 
 
 # ---------------------------------------------------------------------------

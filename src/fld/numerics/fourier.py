@@ -3,8 +3,10 @@ matrices, and the hand-derived reverse-mode rule of the half spectrum.
 
 :func:`dft_matrices` builds every DFT matrix ``fld`` uses, for :func:`rfft`
 and for ``layers.Conv1d``: at these short lengths one BLAS call on a dense
-matrix is cheaper than an FFT row by row. A spectrum is held as real and
-imaginary planes of bins 0..K, K = floor(H/2).
+matrix is cheaper than an FFT row by row. :func:`rfft` transforms the last
+axis of a segment-first array, ``x @ forward.T``; ``Conv1d`` transforms
+axis 0 of a time-major (L, C, B) array, ``forward @ x``. A spectrum is held
+as real and imaginary planes of bins 0..K, K = floor(H/2).
 
 ``rfft_backward`` is the vector-Jacobian product used by backprop. It treats
 the stored bins as 2(K+1) independent real coordinates, so it is the plain

@@ -1,27 +1,26 @@
 """Differentiable building blocks with hand-derived backward passes.
 
-All arrays are float64. Layers are stateless between calls except for their
-parameters (and batch-norm running statistics, which only a train-mode
-forward mutates, and the kernel blocks a convolution derives from immutable
-weights): ``forward`` returns ``(output, cache)`` and ``backward``
-accumulates parameter gradients and returns the input gradient. A cache
-feeds exactly one backward and is consumed by it: a convolution removes its
-input spectrum from the cache once dW has read it, and a second backward on
-that cache raises. The block walk in ``fld.model`` drops the batch-norm
-and activation caches once their backward has run. Callers own the
-optimizer state and the train/eval mode choice.
+All arrays are float64. The conv networks carry their activations
+time-major, as (L, C, B) arrays: the channel axis is axis 1 as in the
+segment-first (B, C, L) layout, and the batch is the contiguous inner axis,
+so each product of a convolution runs over all segments at once. Layers are
+stateless between calls except for their parameters (and batch-norm running
+statistics, which only a train-mode forward mutates, and the kernel blocks
+a convolution derives from immutable weights): ``forward`` returns
+``(output, cache)`` and ``backward`` accumulates parameter gradients and
+returns the input gradient. A cache feeds exactly one backward and is
+consumed by it: a convolution removes its input spectrum from the cache
+once dW has read it, and a second backward on that cache raises. The block
+walk in ``fld.model`` drops the batch-norm and activation caches once their
+backward has run. Callers own the optimizer state and the train/eval mode
+choice.
 
 The per-element passes make only the full-size arrays their math needs and
 keep no buffer between calls: train-mode batch norm caches x_hat only, eval
 batch norm is one per-channel scale and shift, and ELU caches its output
-only. A convolution runs as three real matrix products against the cached
-DFT matrices of :func:`fourier.dft_matrices`: one takes each segment to its
-spectrum, one matmul per frequency bin mixes the channels, and one brings
-back only the L outputs, each in the layout the next product reads.
-
-A convolution keeps the kernel blocks it derives from immutable weights
-(see :func:`immutable`) while the weight is the same array object; writable
-weights, which optimizers and tests write in place, get fresh blocks.
+only. A convolution is three real matrix products against cached DFT
+matrices, and keeps kernel blocks only for immutable weights (see
+:class:`Conv1d` and :func:`immutable`).
 """
 
 from __future__ import annotations
@@ -67,29 +66,30 @@ def _uniform_init(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int)
 
 
 class Conv1d:
-    """Same-padded 1D cross-correlation, stride 1, odd kernel.
+    """Same-padded 1D cross-correlation, stride 1, odd kernel, on time-major
+    (L, C, B) arrays: y[t, o, b] = sum_{i,s} x[t+s, i, b] w[o, i, pad+s].
 
     Computed in the frequency domain at the exact alias-free length
     m = L + (k - 1)/2: outputs 0..L-1 read only lags -pad..pad, so the
     unpadded input, the kernel's lags placed circularly around index 0 and
     every weight-gradient lag and input-gradient sample stay clear of the
-    circular wrap. Each step is a real matrix product against the cached
-    DFT matrices of :func:`fourier.dft_matrices`:
+    circular wrap. The forward pass is three real products on contiguous
+    operands, against the cached DFT matrices of :func:`fourier.dft_matrices`:
 
-    - the input spectra ``forward @ x_b^T``, laid out (B, bins, [Re | Im] x I);
-    - per bin, [Re X | Im X] @ [[P, Q], [-Q, P]] = [Re Y | Im Y], where
-      P + iQ is the kernel's conjugate spectrum: one real matmul holds the
-      complex product;
-    - the outputs t < L only, ``Y_b^T @ inverse``, contiguous (B, O, L).
+    - the spectra ``forward @ x.reshape(L, I B)``, read as (bins, 2I, B);
+    - per bin, K^T @ [Re X; Im X] = [Re Y; Im Y] with the kernel block
+      K = [[P, Q], [-Q, P]] (2I, 2O), where P + iQ is the kernel's
+      conjugate spectrum: one batched real matmul holds the complex product;
+    - the outputs t < L only, ``inverse.T @ Y.reshape(2 bins, O B)``.
 
-    The backward pass takes dW before dx. dW's lags come from the bin
-    blocks' gradient through the kernel matrix; that is the input spectrum's
-    last use, so the spectrum leaves the cache and is released there, before
-    the transposes of the forward's steps build dx in its place. The bin
-    blocks are kept on the layer only for immutable weights (an array over
-    ``bytes``, see :func:`immutable`), while the weight is the very array
-    they were built from. This must match the naive sliding dot product to
-    1e-12 and the test suite holds it to that.
+    The backward pass runs the transposes of these products and takes dW
+    before dx. dW's lags come from the bin blocks' gradient through the
+    kernel matrix; that is the input spectrum's last use, so the spectrum
+    leaves the cache and is released there, before dx's spectrum is built
+    in its place. The bin blocks are kept on the layer only for immutable
+    weights (an array over ``bytes``, see :func:`immutable`), while the
+    weight is the very array they were built from. This must match the
+    naive sliding dot product to 1e-12 and the test suite holds it to that.
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
@@ -112,12 +112,6 @@ class Conv1d:
     def parameters(self) -> list[Parameter]:
         return [self.weight] + ([self.bias] if self.bias is not None else [])
 
-    def _check_input(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 3 or x.shape[1] != self.in_channels:
-            raise ValueError(f"expected input (batch, {self.in_channels}, length), got {x.shape}")
-        return x
-
     def _kernel_blocks(self, length: int) -> np.ndarray:
         """Per-bin real form [[P, Q], [-Q, P]] of the kernel's conjugate
         spectrum P + iQ, as (bins, 2I, 2O)."""
@@ -138,19 +132,19 @@ class Conv1d:
         return blocks
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, dict]:
-        x = self._check_input(x)
-        batch, _, length = x.shape
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 3 or x.shape[1] != self.in_channels:
+            raise ValueError(f"expected input (length, {self.in_channels}, batch), got {x.shape}")
+        length, _, batch = x.shape
         forward_dft, inverse_dft, _ = dft_matrices(length, self.kernel_size)
         blocks = self._kernel_blocks(length)
-        bins, o = blocks.shape[0], self.out_channels
+        bins = blocks.shape[0]
 
-        # y[b,o,t] = sum_{i,s} x[b,i,t+s] w[o,i,pad+s]  (cross-correlation)
-        x_spec = np.matmul(forward_dft, x.transpose(0, 2, 1)).reshape(batch, bins, -1)
-        y_spec = np.empty((batch, bins, 2 * o))
-        np.matmul(x_spec.transpose(1, 0, 2), blocks, out=y_spec.transpose(1, 0, 2))
-        y = np.matmul(y_spec.reshape(batch, 2 * bins, o).transpose(0, 2, 1), inverse_dft)
+        x_spec = (forward_dft @ x.reshape(length, -1)).reshape(bins, -1, batch)
+        y_spec = np.matmul(blocks.transpose(0, 2, 1), x_spec)
+        y = (inverse_dft.T @ y_spec.reshape(2 * bins, -1)).reshape(length, -1, batch)
         if self.bias is not None:
-            y += self.bias.value[None, :, None]
+            y += self.bias.value[:, None]
         ensure_finite(y, "conv1d output")
         return y, {"x_spec": x_spec, "blocks": blocks, "length": length}
 
@@ -160,30 +154,27 @@ class Conv1d:
                              "a cache feeds one backward")
         blocks, length = cache["blocks"], cache["length"]
         forward_dft, inverse_dft, kernel = dft_matrices(length, self.kernel_size)
-        batch, bins = cache["x_spec"].shape[:2]
-        i = self.in_channels
+        bins, _, batch = cache["x_spec"].shape
 
         if self.bias is not None:
             self.bias.grad += g.sum(axis=(0, 2))
 
         # the forward's last product transposed, shared by dW and dx
-        g_spec = np.matmul(inverse_dft, g.transpose(0, 2, 1)).reshape(batch, bins, -1)
+        g_spec = (inverse_dft @ g.reshape(length, -1)).reshape(bins, -1, batch)
         # dW first: the spectrum's last use, so it leaves the cache with it
         self._weight_backward(cache.pop("x_spec"), g_spec, kernel)
 
         # dx: the forward's first two products transposed, last first
-        dx_spec = np.empty((batch, bins, 2 * i))
-        np.matmul(g_spec.transpose(1, 0, 2), blocks.transpose(0, 2, 1),
-                  out=dx_spec.transpose(1, 0, 2))
+        dx_spec = np.matmul(blocks, g_spec)
         del g_spec
-        return np.matmul(dx_spec.reshape(batch, 2 * bins, i).transpose(0, 2, 1), forward_dft)
+        return (forward_dft.T @ dx_spec.reshape(2 * bins, -1)).reshape(length, -1, batch)
 
     def _weight_backward(self, x_spec: np.ndarray, g_spec: np.ndarray,
                          kernel: np.ndarray) -> None:
         """Accumulate dW: each bin block's gradient folded onto P and Q,
         then onto the lags."""
-        bins, i, o = x_spec.shape[1], self.in_channels, self.out_channels
-        d_blocks = np.matmul(x_spec.transpose(1, 2, 0), g_spec.transpose(1, 0, 2))
+        bins, i, o = x_spec.shape[0], self.in_channels, self.out_channels
+        d_blocks = np.matmul(x_spec, g_spec.transpose(0, 2, 1))
         d_spec = np.empty((bins, 2, i, o))
         np.add(d_blocks[:, :i, :o], d_blocks[:, i:, o:], out=d_spec[:, 0])
         np.subtract(d_blocks[:, :i, o:], d_blocks[:, i:, :o], out=d_spec[:, 1])
@@ -197,17 +188,19 @@ def _channel_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class BatchNorm1d:
-    """Per-channel batch normalization over (batch,) or (batch, length).
+    """Per-channel batch normalization over every axis but the channel axis 1.
 
-    Accepts (B, C) or (B, C, L). Train mode uses biased batch variance for
-    normalization, unbiased for the running estimate, and rejects batches
-    of size 1 (the statistics would be degenerate). It centres the input
-    once, takes the variance from the centred array and divides it in place
-    into x_hat, and its cache holds x_hat only: the input is often a view
-    that would keep a convolution's larger transform buffer alive. Eval mode
-    applies the running statistics as one per-channel scale and shift,
-    x * (gamma / std) + (beta - mean * gamma / std) (``eval_affine``); its
-    backward rebuilds x_hat from the input only when it runs.
+    Accepts (B, C) or the conv networks' time-major (L, C, B); the
+    statistics run over axes (0, 2), so the code is the same in either
+    layout. Train mode uses biased batch variance for normalization,
+    unbiased for the running estimate, and rejects an input whose axis 0
+    has size 1 (a (B, C) batch of one would give degenerate statistics). It
+    centres the input once, takes the variance from the centred array and
+    divides it in place into x_hat, and its cache holds x_hat only, not the
+    input. Eval mode applies the running statistics as one per-channel scale
+    and shift, x * (gamma / std) + (beta - mean * gamma / std)
+    (``eval_affine``); its backward rebuilds x_hat from the input only when
+    it runs.
     """
 
     def __init__(self, num_features: int, name: str, eps: float = 1e-5, momentum: float = 0.1):

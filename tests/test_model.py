@@ -12,7 +12,6 @@ from fld.model import (
     VAEConfig,
     blocks_forward,
     fold_batch_norm,
-    representation_param_count,
     wrap_phase,
 )
 from fld.numerics import Adam, BatchNorm1d, Conv1d, elu, elu_backward
@@ -150,10 +149,10 @@ def test_fold_batch_norm_matches_the_eval_block(bias):
     rng = np.random.default_rng(10)
     conv = Conv1d(3, 4, 5, rng, "c", bias=bias)
     bn = BatchNorm1d(4, "bn")
-    bn.forward(rng.normal(loc=0.7, scale=2.0, size=(6, 4, 9)), "train")
+    bn.forward(rng.normal(loc=0.7, scale=2.0, size=(9, 4, 6)), "train")
     bn.gamma.value[...] = rng.uniform(0.5, 2.0, 4)
     bn.beta.value[...] = rng.normal(size=4)
-    x = rng.normal(size=(2, 3, 9))
+    x = rng.normal(size=(9, 3, 2))  # time-major (L, C, B)
     want, _ = blocks_forward([(conv, bn, True)], x, elu)
     folded = fold_batch_norm((conv, bn, True))
     assert folded[0] is conv and folded[1:] == (None, True) and conv.bias.name == "c.bias"
@@ -250,13 +249,35 @@ class TestPredict:
         a = rng.uniform(0.5, 1.0, (1, 2))
         b = rng.normal(size=(1, 2))
         zhat, _ = model.reconstruct_latent(phi, np.zeros((1, 2)), a, b, np.arange(5))
-        out, _ = model.decode(zhat.reshape(5, 2, 16), "eval")
         for i in range(1, 5):
-            assert np.array_equal(out[i], out[0])
+            assert np.array_equal(zhat[0, i], zhat[0, 0])
+        # decoded one step at a time, at batch 1, the steps are equal bit
+        # for bit; a batch of steps agrees to rounding only (see
+        # test_batched_calls_match_per_segment_calls)
+        first, _ = model.decode(zhat[0, :1], "eval")
+        for i in range(1, 5):
+            out, _ = model.decode(zhat[0, i:i + 1], "eval")
+            assert np.array_equal(out, first)
 
     def test_negative_horizon_rejected(self):
         with pytest.raises(ValueError):
             tiny_model().predict(np.zeros((1, 4, 16)), [-1])
+
+
+@pytest.mark.parametrize("mode", ["eval", "frozen"])
+def test_batched_calls_match_per_segment_calls(mode):
+    # the batch axis is the networks' contiguous inner axis, where BLAS
+    # may treat a segment's column with a different kernel than at batch 1
+    model = tiny_model()
+    if mode == "frozen":
+        model.freeze()
+    rng = np.random.default_rng(21)
+    segments = rng.normal(size=(7, 4, 16))
+    latent = rng.normal(size=(7, 2, 16))
+    for net, batch in ((model.encode, segments), (model.decode, latent)):
+        batched, _ = net(batch, "eval")
+        single = np.concatenate([net(batch[i:i + 1], "eval")[0] for i in range(len(batch))])
+        assert np.max(np.abs(batched - single)) <= 1e-14 * np.max(np.abs(single))
 
 
 class TestLoss:
@@ -418,6 +439,26 @@ class TestFF:
         err = gradient_check(loss, ff.parameters(), sample=6,
                              rng=np.random.default_rng(0))
         assert err < 1e-5
+
+
+# Coefficients each representation needs for one trajectory of n frames,
+# at d dims, c latent channels and window h: a VAE code per window, PAE's
+# (phi, f, a, b) per window, FLD's one (phi, f, a, b) for the whole
+# trajectory.
+PARAM_COUNTS = {
+    "original": lambda d, c, h, n: d * n,
+    "vae": lambda d, c, h, n: c * (n - h + 1),
+    "pae": lambda d, c, h, n: 4 * c * (n - h + 1),
+    "fld": lambda d, c, h, n: 4 * c,
+}
+
+
+def representation_param_count(kind, d, c, h, traj_len):
+    if traj_len < h:
+        raise ValueError(f"trajectory length {traj_len} is shorter than the window {h}")
+    if kind not in PARAM_COUNTS:
+        raise ValueError(f"unknown model kind {kind!r}")
+    return PARAM_COUNTS[kind](d, c, h, traj_len)
 
 
 class TestParamCount:

@@ -3,6 +3,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fld.numerics import (
     Adam,
@@ -25,39 +27,52 @@ from fld.numerics.fourier import dft_matrices
 
 
 def conv_oracle(x, w, b):
-    """O(n*k) sliding dot product, independent of the library's path."""
-    batch, cin, length = x.shape
+    """O(n*k) sliding dot product on time-major (L, C, B) input,
+    independent of the library's path."""
+    length, cin, batch = x.shape
     cout, _, k = w.shape
     pad = (k - 1) // 2
-    xp = np.zeros((batch, cin, length + 2 * pad))
-    xp[:, :, pad:pad + length] = x
-    y = np.zeros((batch, cout, length))
+    xp = np.zeros((length + 2 * pad, cin, batch))
+    xp[pad:pad + length] = x
+    y = np.zeros((length, cout, batch))
     for bi in range(batch):
         for o in range(cout):
             for t in range(length):
-                y[bi, o, t] = np.sum(xp[bi, :, t:t + k] * w[o]) + b[o]
+                y[t, o, bi] = np.sum(xp[t:t + k, :, bi] * w[o].T) + b[o]
     return y
 
 
 def conv_oracle_backward(x, w, g):
-    """Sliding-window (dW, dx) for the loss sum(y * g), independent of the
-    library's path."""
-    _, _, length = x.shape
+    """Sliding-window (dW, dx) for the loss sum(y * g), time-major like
+    :func:`conv_oracle`, independent of the library's path."""
+    length = x.shape[0]
     k = w.shape[2]
     pad = (k - 1) // 2
-    xp = np.zeros(x.shape[:2] + (length + 2 * pad,))
-    xp[:, :, pad:pad + length] = x
+    xp = np.zeros((length + 2 * pad,) + x.shape[1:])
+    xp[pad:pad + length] = x
     dw = np.zeros_like(w)
     dxp = np.zeros_like(xp)
     for t in range(length):
         for kap in range(k):
-            dw[:, :, kap] += g[:, :, t].T @ xp[:, :, t + kap]
-            dxp[:, :, t + kap] += g[:, :, t] @ w[:, :, kap]
-    return dw, dxp[:, :, pad:pad + length]
+            dw[:, :, kap] += g[t] @ xp[t + kap].T
+            dxp[t + kap] += w[:, :, kap].T @ g[t]
+    return dw, dxp[pad:pad + length]
 
 
 def make_conv(cin, cout, k, seed=0):
     return Conv1d(cin, cout, k, np.random.default_rng(seed), "conv")
+
+
+# the same examples on every run, so a failure reproduces and tier 1 stays fast
+settings.register_profile("conv-oracle", derandomize=True, max_examples=60, deadline=None)
+
+
+@st.composite
+def conv_shapes(draw):
+    """(cin, cout, k, length, batch) with odd k up to 15, shorter and
+    longer than the signal."""
+    return (draw(st.integers(1, 3)), draw(st.integers(1, 3)), 2 * draw(st.integers(0, 7)) + 1,
+            draw(st.integers(1, 12)), draw(st.integers(1, 3)))
 
 
 class TestConv1d:
@@ -69,27 +84,27 @@ class TestConv1d:
         w[1, 1, 2] = 1.0
         conv.weight.value[:] = w
         conv.bias.value[:] = 0.0
-        x = rng.normal(size=(3, 2, 9))
+        x = rng.normal(size=(9, 2, 3))
         y, _ = conv.forward(x)
         assert np.max(np.abs(y - x)) < 1e-12
 
     def test_zero_input_gives_bias(self):
         conv = make_conv(2, 3, 3)
-        y, _ = conv.forward(np.zeros((1, 2, 8)))
-        expected = np.broadcast_to(conv.bias.value[None, :, None], (1, 3, 8))
+        y, _ = conv.forward(np.zeros((8, 2, 1)))
+        expected = np.broadcast_to(conv.bias.value[None, :, None], (8, 3, 1))
         assert np.max(np.abs(y - expected)) < 1e-12
 
     def test_matches_sliding_window_oracle(self):
         rng = np.random.default_rng(5)
         conv = make_conv(2, 3, 3)
-        x = rng.normal(size=(2, 2, 8))
+        x = rng.normal(size=(8, 2, 2))
         y, _ = conv.forward(x)
         assert np.max(np.abs(y - conv_oracle(x, conv.weight.value, conv.bias.value))) < 1e-12
 
     def test_matches_oracle_big_kernel(self):
         rng = np.random.default_rng(6)
         conv = make_conv(3, 4, 51)
-        x = rng.normal(size=(2, 3, 51))
+        x = rng.normal(size=(51, 3, 2))
         y, _ = conv.forward(x)
         assert np.max(np.abs(y - conv_oracle(x, conv.weight.value, conv.bias.value))) < 1e-12
 
@@ -107,10 +122,10 @@ class TestConv1d:
         assert length + (k - 1) // 2 == m
         rng = np.random.default_rng(11)
         conv = make_conv(cin, cout, k)
-        x = rng.normal(size=(3, cin, length))
-        g = rng.normal(size=(3, cout, length))
+        x = rng.normal(size=(length, cin, 3))
+        g = rng.normal(size=(length, cout, 3))
         y, cache = conv.forward(x)
-        assert cache["x_spec"].shape == (3, m // 2 + 1, 2 * cin)
+        assert cache["x_spec"].shape == (m // 2 + 1, 2 * cin, 3)
         assert np.max(np.abs(y - conv_oracle(x, conv.weight.value, conv.bias.value))) < 1e-12
         conv.weight.zero_grad()
         dx = conv.backward(g, cache)
@@ -140,7 +155,7 @@ class TestConv1d:
     def test_weights_written_in_place_are_not_served_stale(self):
         rng = np.random.default_rng(12)
         conv = make_conv(3, 4, 7)
-        x = rng.normal(size=(2, 3, 12))
+        x = rng.normal(size=(12, 3, 2))
         conv.forward(x)
         conv.weight.value[...] *= 0.5
         y, _ = conv.forward(x)
@@ -155,7 +170,7 @@ class TestConv1d:
         rng = np.random.default_rng(15)
         conv = make_conv(3, 4, 7)
         conv.weight.value = immutable(conv.weight.value)
-        x = rng.normal(size=(2, 3, 12))
+        x = rng.normal(size=(12, 3, 2))
         y, _ = conv.forward(x)
         blocks = conv._blocks
         assert np.array_equal(conv.forward(x)[0], y) and conv._blocks is blocks
@@ -171,7 +186,7 @@ class TestConv1d:
     def test_writable_weights_keep_no_blocks(self):
         rng = np.random.default_rng(16)
         conv = make_conv(3, 4, 7)
-        y, cache = conv.forward(rng.normal(size=(2, 3, 12)))
+        y, cache = conv.forward(rng.normal(size=(12, 3, 2)))
         assert conv._blocks is None
         conv.backward(np.ones_like(y), cache)
         assert conv._blocks is None
@@ -179,7 +194,7 @@ class TestConv1d:
     def test_backward_consumes_its_spectrum(self):
         rng = np.random.default_rng(17)
         conv = Conv1d(3, 4, 5, rng, "dec.conv1")
-        y, cache = conv.forward(rng.normal(size=(2, 3, 9)))
+        y, cache = conv.forward(rng.normal(size=(9, 3, 2)))
         spectrum = weakref.ref(cache["x_spec"])
         conv.backward(np.ones_like(y), cache)
         # the caller still holds the cache; the spectrum is gone from it
@@ -194,7 +209,7 @@ class TestConv1d:
         # spectrum to the end would need two spectra at least
         rng = np.random.default_rng(18)
         conv = make_conv(4, 4, 5)
-        x, g = rng.normal(size=(2, 64, 4, 20))
+        x, g = rng.normal(size=(2, 20, 4, 64))
         tracemalloc.start()
         try:
             _, cache = conv.forward(x)
@@ -209,11 +224,11 @@ class TestConv1d:
 
     def test_cold_and_warm_layers_agree_bitwise(self):
         rng = np.random.default_rng(13)
-        x = rng.normal(size=(2, 3, 51))
+        x = rng.normal(size=(51, 3, 2))
         warm, cold = make_conv(3, 4, 51), make_conv(3, 4, 51)
         for conv in (warm, cold):
             conv.weight.value = immutable(conv.weight.value)
-        warm.forward(rng.normal(size=(5, 3, 51)))
+        warm.forward(rng.normal(size=(51, 3, 5)))
         assert warm._blocks is not None
         assert np.array_equal(warm.forward(x)[0], cold.forward(x)[0])
 
@@ -224,13 +239,29 @@ class TestConv1d:
     def test_shape_mismatch_rejected(self):
         conv = make_conv(2, 3, 3)
         with pytest.raises(ValueError):
-            conv.forward(np.zeros((1, 5, 8)))
+            conv.forward(np.zeros((8, 5, 1)))
+
+    @settings(settings.get_profile("conv-oracle"))
+    @given(shape=conv_shapes(), seed=st.integers(0, 2**31))
+    def test_any_shape_matches_sliding_window_oracle(self, shape, seed):
+        cin, cout, k, length, batch = shape
+        rng = np.random.default_rng(seed)
+        conv = Conv1d(cin, cout, k, rng, "conv")
+        x = rng.normal(size=(length, cin, batch))
+        g = rng.normal(size=(length, cout, batch))
+        y, cache = conv.forward(x)
+        assert y.shape == (length, cout, batch)
+        assert np.max(np.abs(y - conv_oracle(x, conv.weight.value, conv.bias.value))) < 1e-12
+        dx = conv.backward(g, cache)
+        dw_ref, dx_ref = conv_oracle_backward(x, conv.weight.value, g)
+        assert np.max(np.abs(conv.weight.grad - dw_ref)) < 1e-12
+        assert np.max(np.abs(dx - dx_ref)) < 1e-12
 
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(9)
         conv = make_conv(2, 3, 5)
-        x = rng.normal(size=(2, 2, 7))
-        g = rng.normal(size=(2, 3, 7))
+        x = rng.normal(size=(7, 2, 2))
+        g = rng.normal(size=(7, 3, 2))
 
         def loss(xv, wv, bv):
             return np.sum(conv_oracle(xv, wv, bv) * g)
