@@ -152,16 +152,10 @@ def build_model(checkpoint: ModelCheckpoint):
 
 
 def build_fld_model(checkpoint: ModelCheckpoint, purpose: str) -> FLDModel:
-    """:func:`build_model`, frozen, for the inference entry points that
-    need latent dynamics (the gate, calibration, synthesis, latent export).
-
-    Freezing (:meth:`FLDModel.freeze`) folds each encoder and decoder batch
-    norm into its conv and makes the weights and the phase head's running
-    statistics immutable, so each conv builds its kernel blocks once.
-    Train-mode use raises, ``state_arrays`` returns the folded arrays, and
-    outputs equal those of :func:`build_model` to about 1e-15 relative, not
-    bitwise.
-    """
+    """:func:`build_model`, frozen (:meth:`FLDModel.freeze`: batch norm
+    folded into the convs, immutable weights, forward-only), for the
+    inference entry points that need latent dynamics: the gate, calibration,
+    synthesis, latent export and quasi-constancy."""
     if MODEL_KINDS[checkpoint.model_kind][1] is not FLDModel:
         raise ValueError(f"{purpose} needs an fld or pae checkpoint")
     return build_model(checkpoint).freeze()

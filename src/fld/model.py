@@ -231,8 +231,10 @@ class FLDModel:
         phase head's running statistics immutable
         (:func:`~fld.numerics.layers.immutable`). Eval outputs equal the
         unfrozen model's to rounding (about 1e-15 relative), not bitwise.
-        A train-mode analysis raises, since the phase head cannot update its
-        running statistics, and so does every optimizer step.
+        Every inference entry point in ``fld`` runs the frozen model, which
+        is forward-only: a train-mode analysis raises, since the phase head
+        cannot update its running statistics, and so do eval gradients
+        (:meth:`propagation_loss`) and every optimizer step.
         ``state_arrays`` then returns the folded arrays, which no longer
         match the architecture's checkpoint directory."""
         self.encoder = [fold_batch_norm(block) for block in self.encoder]
@@ -419,13 +421,15 @@ class FLDModel:
                          want_grads: bool = False, alpha: float | None = None
                          ) -> tuple[float, np.ndarray]:
         """Propagation loss sum_i alpha^i * MSE(decoded i-step prediction,
-        target i) of anchors already analysed: ``analysis`` is what
+        target i) of anchors analysed in ``mode``: ``analysis`` is what
         :meth:`analyze` returned, and ``targets`` (B, N+1, d, H) holds each
         anchor's i-step future segment in slot i. ``alpha`` overrides the
-        config's decay. Returns (total, per-horizon losses) and accumulates
-        parameter gradients when ``want_grads``. Then the backward consumes
-        the caches in ``analysis``, as a cache feeds one backward; without
-        ``want_grads`` they are left as they are."""
+        config's decay. Returns (total, per-horizon losses). ``want_grads``
+        also accumulates parameter gradients and consumes the caches in
+        ``analysis``, as a cache feeds one backward. Eval mode is
+        forward-only, so there it raises before any gradient accumulates."""
+        if want_grads and mode != "train":
+            raise ValueError(f"gradients need a train-mode analysis; {mode!r} is forward-only")
         phi, f, amp, off = analysis[:4]
         batch, n_steps, d, h = targets.shape
         shat, (rec_cache, dec_cache) = self.render(phi, f, amp, off, np.arange(n_steps), mode)

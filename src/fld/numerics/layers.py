@@ -13,14 +13,14 @@ consumed by it: a convolution removes its input spectrum from the cache
 once dW has read it, and a second backward on that cache raises. The block
 walk in ``fld.model`` drops the batch-norm and activation caches once their
 backward has run. Callers own the optimizer state and the train/eval mode
-choice.
+choice; eval mode is forward-only, and batch norm returns no cache there.
 
 The per-element passes make only the full-size arrays their math needs and
-keep no buffer between calls: train-mode batch norm caches x_hat only, eval
-batch norm is one per-channel scale and shift, and ELU caches its output
-only. A convolution is three real matrix products against cached DFT
-matrices, and keeps kernel blocks only for immutable weights (see
-:class:`Conv1d` and :func:`immutable`).
+keep no buffer between calls: train-mode batch norm caches x_hat and its
+std only, eval batch norm is one per-channel scale and shift, and ELU
+caches its output only. A convolution is three real matrix products
+against cached DFT matrices, and keeps kernel blocks only for immutable
+weights (see :class:`Conv1d` and :func:`immutable`).
 """
 
 from __future__ import annotations
@@ -193,14 +193,14 @@ class BatchNorm1d:
     Accepts (B, C) or the conv networks' time-major (L, C, B); the
     statistics run over axes (0, 2), so the code is the same in either
     layout. Train mode uses biased batch variance for normalization,
-    unbiased for the running estimate, and rejects an input whose axis 0
-    has size 1 (a (B, C) batch of one would give degenerate statistics). It
-    centres the input once, takes the variance from the centred array and
-    divides it in place into x_hat, and its cache holds x_hat only, not the
-    input. Eval mode applies the running statistics as one per-channel scale
-    and shift, x * (gamma / std) + (beta - mean * gamma / std)
-    (``eval_affine``); its backward rebuilds x_hat from the input only when
-    it runs.
+    unbiased for the running estimate, and rejects an input with fewer than
+    two values per channel (x.size // C < 2, where the statistics are
+    degenerate). It centres the input once, takes the variance from the
+    centred array and divides it in place into x_hat, and its cache holds
+    x_hat and the batch std only, not the input. Eval mode is forward-only:
+    it applies the running statistics as one per-channel scale and shift,
+    x * (gamma / std) + (beta - mean * gamma / std) (``eval_affine``), and
+    returns a None cache, so :meth:`backward` is the train backward.
     """
 
     def __init__(self, num_features: int, name: str, eps: float = 1e-5, momentum: float = 0.1):
@@ -233,58 +233,49 @@ class BatchNorm1d:
             return (0, 2), (1, self.num_features, 1)
         raise ValueError(f"expected 2D or 3D input, got shape {x.shape}")
 
-    def forward(self, x: np.ndarray, mode: str) -> tuple[np.ndarray, dict]:
+    def forward(self, x: np.ndarray, mode: str) -> tuple[np.ndarray, dict | None]:
         x = np.asarray(x, dtype=np.float64)
         if x.shape[1] != self.num_features:
             raise ValueError(f"expected {self.num_features} channels, got {x.shape}")
         axes, bshape = self._axes_and_shape(x)
-        if mode == "train":
-            if x.shape[0] < 2:
-                raise ValueError("batch normalization needs batch size >= 2 in train mode")
-            n = x.size // self.num_features
-            mean = x.mean(axis=axes)
-            x_hat = x - mean.reshape(bshape)
-            var = _channel_dot(x_hat, x_hat) / n
-            self.running_mean *= 1.0 - self.momentum
-            self.running_mean += self.momentum * mean
-            self.running_var *= 1.0 - self.momentum
-            self.running_var += self.momentum * var * n / max(n - 1, 1)
-            std = np.sqrt(var + self.eps)
-            x_hat /= std.reshape(bshape)
-            y = x_hat * self.gamma.value.reshape(bshape)
-            y += self.beta.value.reshape(bshape)
-            cache = {"x_hat": x_hat}
-        elif mode == "eval":
-            std = np.sqrt(self.running_var + self.eps)
+        if mode == "eval":
             scale, shift = self.eval_affine()
             y = x * scale.reshape(bshape)
             y += shift.reshape(bshape)
-            cache = {"x": x, "mean": self.running_mean.copy()}
-        else:
+            return ensure_finite(y, "batchnorm output"), None
+        if mode != "train":
             raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-        ensure_finite(y, "batchnorm output")
-        cache.update(std=std, axes=axes, bshape=bshape, mode=mode)
-        return y, cache
+        n = x.size // self.num_features
+        if n < 2:
+            raise ValueError("batch normalization needs >= 2 values per channel in train mode")
+        mean = x.mean(axis=axes)
+        x_hat = x - mean.reshape(bshape)
+        var = _channel_dot(x_hat, x_hat) / n
+        self.running_mean *= 1.0 - self.momentum
+        self.running_mean += self.momentum * mean
+        self.running_var *= 1.0 - self.momentum
+        self.running_var += self.momentum * var * n / (n - 1)
+        std = np.sqrt(var + self.eps)
+        x_hat /= std.reshape(bshape)
+        y = x_hat * self.gamma.value.reshape(bshape)
+        y += self.beta.value.reshape(bshape)
+        return ensure_finite(y, "batchnorm output"), {"x_hat": x_hat, "std": std}
 
-    def backward(self, g: np.ndarray, cache: dict) -> np.ndarray:
-        axes, bshape, std = cache["axes"], cache["bshape"], cache["std"]
-        if cache["mode"] == "eval":
-            x_hat = (cache["x"] - cache["mean"].reshape(bshape)) / std.reshape(bshape)
-        else:
-            x_hat = cache["x_hat"]
+    def backward(self, g: np.ndarray, cache: dict | None) -> np.ndarray:
+        if cache is None:
+            raise ValueError(f"{self.name}: eval mode is forward-only and has no backward")
+        x_hat, std = cache["x_hat"], cache["std"]
+        axes, bshape = self._axes_and_shape(g)
         sum_g = g.sum(axis=axes)
         sum_gx = _channel_dot(g, x_hat)
         self.beta.grad += sum_g
         self.gamma.grad += sum_gx
-        gamma_over_std = (self.gamma.value / std).reshape(bshape)
-        if cache["mode"] == "eval":
-            return g * gamma_over_std
         # gamma/std * (g - mean(g) - x_hat * mean(g * x_hat)), in one buffer
         n = g.size // self.num_features
         dx = x_hat * (-sum_gx / n).reshape(bshape)
         dx += g
         dx -= (sum_g / n).reshape(bshape)
-        dx *= gamma_over_std
+        dx *= (self.gamma.value / std).reshape(bshape)
         return dx
 
 

@@ -166,7 +166,9 @@ def evaluate_prediction(checkpoints: dict[str, ModelCheckpoint],
                         ) -> EvaluationReport:
     """Per-horizon relative prediction error for each checkpoint on one
     held-out trajectory. Anchors are subsampled every ``anchor_stride``
-    frames; predictions and targets are compared in normalized space."""
+    frames; predictions and targets are compared in normalized space. fld
+    and pae models run frozen (:meth:`FLDModel.freeze`), as every inference
+    entry point does, so their errors match the unfrozen model's to rounding."""
     horizons = np.asarray(sorted(int(h) for h in horizons))
     if horizons.size == 0 or horizons[0] < 0:
         raise ValueError("need at least one non-negative horizon")
@@ -176,6 +178,8 @@ def evaluate_prediction(checkpoints: dict[str, ModelCheckpoint],
     anchor_count: dict[str, int] = {}
     for name, ckpt in checkpoints.items():
         model = build_model(ckpt)
+        if isinstance(model, FLDModel):
+            model.freeze()
         if not hasattr(model, "predict"):
             raise ValueError(f"model kind {ckpt.model_kind!r} has no forward-"
                              f"prediction path")

@@ -112,8 +112,9 @@ def test_frozen_model_is_immutable_and_refuses_training():
     # the phase head cannot move its running statistics
     with pytest.raises(ValueError, match="read-only"):
         frozen.analyze(items[:, 0], mode="train")
-    # gradients still accumulate, but no optimizer can move the weights
-    frozen.loss_and_grads(items, mode="eval")
+    # eval mode is forward-only, and no optimizer can move the weights
+    with pytest.raises(ValueError, match="forward-only"):
+        frozen.loss_and_grads(items, mode="eval")
     with pytest.raises(ValueError, match="read-only"):
         Adam(frozen.parameters(), lr=1e-3).step()
 

@@ -221,6 +221,21 @@ def test_propagation_loss_with_grads_consumes_the_analysis_caches():
     assert enc_caches == []
 
 
+@pytest.mark.parametrize("frozen", [False, True], ids=["unfrozen", "frozen"])
+@pytest.mark.parametrize("entry", ["propagation_loss", "loss_and_grads"])
+def test_eval_gradients_are_refused_before_any_accumulates(frozen, entry):
+    model = tiny_model()
+    if frozen:
+        model.freeze()
+    items = np.random.default_rng(14).normal(size=(3, 4, 4, 16))
+    with pytest.raises(ValueError, match="forward-only"):
+        if entry == "propagation_loss":
+            model.propagation_loss(model.analyze(items[:, 0]), items, want_grads=True)
+        else:
+            model.loss_and_grads(items, mode="eval")
+    assert not any(p.grad.any() for p in model.parameters())
+
+
 class TestPredict:
     def test_zero_step_equals_reconstruction_path(self):
         model = tiny_model()

@@ -309,11 +309,30 @@ class TestBatchNorm1d:
         assert np.allclose(y[:, 0], 3.0) and np.allclose(y[:, 1], -1.0)
 
     def test_batch_of_one_rejected_in_train(self):
+        # the rule is values per channel, whichever axis holds them
         bn = BatchNorm1d(2, "bn")
-        with pytest.raises(ValueError):
-            bn.forward(np.zeros((1, 2, 5)), mode="train")
+        for shape in [(1, 2), (1, 2, 1)]:
+            with pytest.raises(ValueError, match=">= 2 values per channel"):
+                bn.forward(np.zeros(shape), mode="train")
+        x = np.random.default_rng(1).normal(size=(1, 2, 5))
+        y, _ = bn.forward(x, mode="train")
+        assert np.max(np.abs(y.mean(axis=(0, 2)))) < 1e-12
         # eval mode is fine with a single item
-        bn.forward(np.zeros((1, 2, 5)), mode="eval")
+        for shape in [(1, 2), (1, 2, 1)]:
+            bn.forward(np.zeros(shape), mode="eval")
+
+    def test_eval_is_forward_only(self):
+        bn = BatchNorm1d(2, "bn")
+        bn.running_mean[:] = [0.3, -0.2]
+        bn.running_var[:] = [1.5, 0.6]
+        x = np.random.default_rng(3).normal(size=(4, 2, 5))
+        y, cache = bn.forward(x, mode="eval")
+        assert cache is None
+        scale, shift = bn.eval_affine()
+        assert np.array_equal(y, x * scale[:, None] + shift[:, None])
+        with pytest.raises(ValueError, match="forward-only"):
+            bn.backward(np.ones_like(y), cache)
+        assert not bn.gamma.grad.any() and not bn.beta.grad.any()
 
     def test_running_stats_track_batches(self):
         rng = np.random.default_rng(4)
@@ -329,10 +348,8 @@ class TestBatchNorm1d:
     def test_backward_matches_finite_differences(self):
         self.check_backward_against_finite_differences("train", (4, 2, 8))
 
-    # (B, C) is the phase head's batch norm
-    @pytest.mark.parametrize("mode,shape", [("eval", (4, 2, 8)), ("train", (6, 2)),
-                                            ("eval", (6, 2))],
-                             ids=["eval-3d", "train-2d", "eval-2d"])
+    # (B, C) is the phase head's batch norm; eval mode has no backward
+    @pytest.mark.parametrize("mode,shape", [("train", (6, 2))], ids=["train-2d"])
     def test_backward_matches_finite_differences_by_mode_and_rank(self, mode, shape):
         self.check_backward_against_finite_differences(mode, shape)
 

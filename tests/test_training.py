@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fld.checkpoint import build_model
-from fld.model import FFConfig, FLDConfig
+from fld.model import FFConfig, FLDConfig, FLDModel
 from fld.signals import SyntheticMotionSpec, Trajectory, generate_synthetic, segment_view
 from fld.training import (
     TrainConfig,
@@ -159,6 +159,26 @@ class TestEvaluatePrediction:
                     VAEConfig(dims=3, window=16, latent=2, hidden=(8,)))
         with pytest.raises(ValueError, match="prediction"):
             evaluate_prediction({"vae": vae.checkpoint}, corpus[0], horizons=[0])
+
+    def test_fld_and_pae_run_frozen(self, monkeypatch):
+        corpus, fld, ff = self.trained()
+        pae = train("pae", corpus, tiny_train_config(iters=15), FLDConfig(**TINY))
+        ckpts = {"fld": fld.checkpoint, "ff": ff.checkpoint, "pae": pae.checkpoint}
+        frozen, freeze = [], FLDModel.freeze
+
+        def counted_freeze(model):
+            frozen.append(model.config.horizon)
+            return freeze(model)
+
+        monkeypatch.setattr(FLDModel, "freeze", counted_freeze)
+        got = evaluate_prediction(ckpts, corpus[0], [0, 1, 3], anchor_stride=4)
+        assert frozen == [TINY["horizon"], 0]
+        # the same evaluation on the unfrozen models
+        monkeypatch.setattr(FLDModel, "freeze", lambda model: model)
+        want = evaluate_prediction(ckpts, corpus[0], [0, 1, 3], anchor_stride=4)
+        assert np.array_equal(got.errors["ff"], want.errors["ff"])
+        for name in ("fld", "pae"):
+            assert np.allclose(got.errors[name], want.errors[name], rtol=1e-12, atol=0), name
 
     def test_deterministic(self):
         corpus, fld, _ = self.trained()
