@@ -11,7 +11,8 @@ Binary layout, all integers little-endian:
     payload raw float64 little-endian array data, in directory order
     crc     u32      CRC32 of everything before it
 
-Loading verifies magic, version and checksum; rebuilding a model rejects
+Loading verifies magic, version and checksum, and raises ``ValueError``
+naming the file on a malformed header too. Rebuilding a model rejects
 array directories that do not exactly match the architecture's parameter
 and running-statistics names.
 """
@@ -21,7 +22,7 @@ from __future__ import annotations
 import json
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -53,9 +54,13 @@ class ModelCheckpoint:
     def __post_init__(self):
         if self.model_kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.model_kind!r}")
-        if self.normalization.mean.shape != (self.config["dims"],):
+        config_cls = MODEL_KINDS[self.model_kind][0]
+        if sorted(self.config) != sorted(f.name for f in fields(config_cls)):
+            raise ValueError(f"config keys {sorted(self.config)} are not the {self.model_kind} fields")
+        dims = config_cls.from_dict(self.config).dims
+        if self.normalization.mean.shape != (dims,):
             raise ValueError(f"normalization has {self.normalization.mean.size} dims, "
-                             f"model config {self.config['dims']}")
+                             f"model config {dims}")
 
 
 def save_checkpoint(checkpoint: ModelCheckpoint, path: str | Path) -> None:
@@ -96,28 +101,34 @@ def load_checkpoint(path: str | Path) -> ModelCheckpoint:
         raise ValueError(f"{path}: checkpoint version {version}, reader supports {VERSION}")
     hlen = struct.unpack_from("<Q", raw, offset)[0]
     offset += 8
-    header = json.loads(raw[offset:offset + hlen].decode("utf-8"))
-    offset += hlen
-    arrays: dict[str, np.ndarray] = {}
-    for entry in header["arrays"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = count * 8
-        if offset + nbytes > len(raw) - 4:
-            raise ValueError(f"{path}: payload shorter than the array directory")
-        arr = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
-        arrays[entry["name"]] = arr.reshape(shape).astype(np.float64)
-        offset += nbytes
-    if offset != len(raw) - 4:
-        raise ValueError(f"{path}: trailing bytes after payload")
-    return ModelCheckpoint(
-        model_kind=header["model_kind"],
-        config=header["config"],
-        normalization=NormalizationStats.from_dict(header["normalization"]),
-        seed=int(header["seed"]),
-        iteration=int(header["iteration"]),
-        arrays=arrays,
-    )
+    try:
+        header = json.loads(raw[offset:offset + hlen].decode("utf-8"))
+        offset += hlen
+        arrays: dict[str, np.ndarray] = {}
+        for entry in header["arrays"]:
+            name, shape = entry["name"], tuple(entry["shape"])
+            if name in arrays or not all(type(n) is int and n >= 0 for n in shape):
+                raise ValueError(f"directory entry {entry!r} repeats a name or has a bad shape")
+            count = int(np.prod(shape))
+            if offset + count * 8 > len(raw) - 4:
+                raise ValueError("payload shorter than the array directory")
+            arr = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
+            arrays[name] = arr.reshape(shape).astype(np.float64)
+            offset += count * 8
+        if offset != len(raw) - 4:
+            raise ValueError("trailing bytes after payload")
+        return ModelCheckpoint(
+            model_kind=header["model_kind"],
+            config=header["config"],
+            normalization=NormalizationStats.from_dict(header["normalization"]),
+            seed=int(header["seed"]),
+            iteration=int(header["iteration"]),
+            arrays=arrays,
+        )
+    except (AttributeError, KeyError, TypeError) as exc:  # a field missing or of a wrong type
+        raise ValueError(f"{path}: malformed header ({type(exc).__name__}: {exc})") from exc
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def checkpoint_from_model(model, model_kind: str, normalization: NormalizationStats,

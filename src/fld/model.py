@@ -9,6 +9,8 @@ Conventions
   The encoder and decoder run time-major, on (H, C, B), the transpose
   ``.T`` of a segment batch: ``encode``, ``decode`` and their backwards take
   and return (B, C, H) views and flip the layout once at that boundary.
+  The phase head's batch norm sees its (B, 2c) batch as the (1, 2c, B) view
+  ``.T[None]``, the one layout batch norm takes.
 * The reconstruction time grid is T = (-(H-1)*dt, ..., -dt, 0): the phase
   indexes the newest frame, so advancing phase by f*dt moves the window
   exactly one frame.
@@ -149,8 +151,9 @@ class FLDConfig(ConfigDict):
     final_activation: bool = False  # BN+ELU on the decoder output layer
 
     def __post_init__(self):
-        if self.channels < 1:
-            raise ValueError("channels must be >= 1")
+        for name in ("dims", "channels", "hidden"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.window < 2:
             raise ValueError("window must be >= 2")
         if self.horizon < 0:
@@ -274,8 +277,8 @@ class FLDModel:
         then the two-argument phase in cycles."""
         out, c_lin = self.phase_linear.forward(z)
         batch, c, _ = out.shape
-        normed, c_bn = self.phase_bn.forward(out.reshape(batch, 2 * c), mode)
-        normed = normed.reshape(batch, c, 2)
+        normed, c_bn = self.phase_bn.forward(out.reshape(batch, 2 * c).T[None], mode)
+        normed = normed[0].T.reshape(batch, c, 2)
         phi, c_at = atan2_phase(normed[..., 1], normed[..., 0])
         return phi, {"lin": c_lin, "bn": c_bn, "at": c_at, "shape": (batch, c)}
 
@@ -283,7 +286,7 @@ class FLDModel:
         batch, c = cache["shape"]
         dsy, dsx = atan2_phase_backward(grad_phi, cache["at"])
         g = np.stack([dsx, dsy], axis=-1).reshape(batch, 2 * c)
-        g = self.phase_bn.backward(g, cache["bn"]).reshape(batch, c, 2)
+        g = self.phase_bn.backward(g.T[None], cache["bn"])[0].T.reshape(batch, c, 2)
         return self.phase_linear.backward(g, cache["lin"])
 
     def spectrum_params(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
@@ -341,21 +344,16 @@ class FLDModel:
     # -- sinusoidal reconstruction ----------------------------------------
 
     def reconstruct_latent(self, phi: np.ndarray, freq: np.ndarray, amp: np.ndarray,
-                           offset: np.ndarray, step_offsets: np.ndarray | None = None
+                           offset: np.ndarray, steps: np.ndarray | list[int]
                            ) -> tuple[np.ndarray, dict]:
-        """Latent curves a*sin(2*pi*(f*(T + i*dt) + phi)) + b.
-
-        ``step_offsets`` lists the propagation steps i (default just [0]);
-        output is (B, n_steps, c, H), a view of a time-major buffer, so
-        :meth:`decode` reads it without a copy.
-        """
+        """Latent curves a*sin(2*pi*(f*(T + i*dt) + phi)) + b for each step i
+        in ``steps``, as (B, n_steps, c, H): a view of a time-major buffer,
+        so :meth:`decode` reads it without a copy."""
         phi = np.atleast_2d(np.asarray(phi, dtype=np.float64))
         freq = np.atleast_2d(np.asarray(freq, dtype=np.float64))
         amp = np.atleast_2d(np.asarray(amp, dtype=np.float64))
         offset = np.atleast_2d(np.asarray(offset, dtype=np.float64))
-        if step_offsets is None:
-            step_offsets = np.array([0])
-        steps = np.asarray(step_offsets, dtype=np.float64)
+        steps = np.asarray(steps, dtype=np.float64)
         tg = self.config.time_grid  # (H,)
         times = tg[None, :] + steps[:, None] * self.config.dt  # (n_steps, H)
         # i-step propagation enters as a phase advance phi + i*(f*dt), so a
@@ -388,10 +386,10 @@ class FLDModel:
     def analyze(self, segments: np.ndarray, mode: str = "eval"
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, tuple]:
         """Segments (B, d, H) or one (d, H) to their parameterization:
-        (phi, f, a, b, (encode cache, parameterize cache)), each (B, c)."""
+        (phi, f, a, b, (encode cache, parameterize cache, mode)), each (B, c)."""
         z, enc_cache = self.encode(segments, mode)
         phi, freq, amp, offset, par_cache = self.parameterize(z, mode)
-        return phi, freq, amp, offset, (enc_cache, par_cache)
+        return phi, freq, amp, offset, (enc_cache, par_cache, mode)
 
     def render(self, phi: np.ndarray, freq: np.ndarray, amp: np.ndarray,
                offset: np.ndarray, steps: np.ndarray | list[int], mode: str = "eval"
@@ -414,23 +412,23 @@ class FLDModel:
         if np.any(horizons < 0):
             raise ValueError("horizons must be >= 0")
         phi, f, a, b, _ = self.analyze(segments)
-        shat, _ = self.render(phi, f, a, b, horizons)
-        return shat[0] if np.ndim(segments) == 2 else shat
+        return self.render(phi, f, a, b, horizons)[0]
 
-    def propagation_loss(self, analysis: tuple, targets: np.ndarray, mode: str = "eval",
+    def propagation_loss(self, analysis: tuple, targets: np.ndarray,
                          want_grads: bool = False, alpha: float | None = None
                          ) -> tuple[float, np.ndarray]:
         """Propagation loss sum_i alpha^i * MSE(decoded i-step prediction,
-        target i) of anchors analysed in ``mode``: ``analysis`` is what
-        :meth:`analyze` returned, and ``targets`` (B, N+1, d, H) holds each
-        anchor's i-step future segment in slot i. ``alpha`` overrides the
-        config's decay. Returns (total, per-horizon losses). ``want_grads``
-        also accumulates parameter gradients and consumes the caches in
-        ``analysis``, as a cache feeds one backward. Eval mode is
-        forward-only, so there it raises before any gradient accumulates."""
+        target i): ``analysis`` is what :meth:`analyze` returned, whose mode
+        the decoder runs in, or its (phi, f, a, b) alone, which counts as
+        eval; ``targets`` (B, N+1, d, H) holds each anchor's i-step future
+        segment in slot i. ``alpha`` overrides the config's decay. Returns
+        (total, per-horizon losses). ``want_grads`` also accumulates
+        parameter gradients and consumes the caches in ``analysis`` (a cache
+        feeds one backward); on an eval analysis it raises first."""
+        phi, f, amp, off = analysis[:4]
+        mode = analysis[4][2] if len(analysis) > 4 else "eval"
         if want_grads and mode != "train":
             raise ValueError(f"gradients need a train-mode analysis; {mode!r} is forward-only")
-        phi, f, amp, off = analysis[:4]
         batch, n_steps, d, h = targets.shape
         shat, (rec_cache, dec_cache) = self.render(phi, f, amp, off, np.arange(n_steps), mode)
 
@@ -443,7 +441,7 @@ class FLDModel:
         total = float(weights @ per_horizon)
 
         if want_grads:
-            enc_cache, par_cache = analysis[4]
+            enc_cache, par_cache, _ = analysis[4]
             grad_shat = diff  # built in place, in the order (scale * diff) * weights
             grad_shat *= 2.0 / (batch * d * h)
             grad_shat *= weights
@@ -468,7 +466,7 @@ class FLDModel:
         if n + 1 > items.shape[1]:
             raise ValueError(f"horizon {n} exceeds the {items.shape[1] - 1} futures provided")
         analysis = self.analyze(items[:, 0] if anchor is None else anchor, mode)
-        return self.propagation_loss(analysis, items[:, :n + 1], mode, want_grads, alpha)
+        return self.propagation_loss(analysis, items[:, :n + 1], want_grads, alpha)
 
     @property
     def item_horizon(self) -> int:

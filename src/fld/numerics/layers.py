@@ -3,8 +3,10 @@
 All arrays are float64. The conv networks carry their activations
 time-major, as (L, C, B) arrays: the channel axis is axis 1 as in the
 segment-first (B, C, L) layout, and the batch is the contiguous inner axis,
-so each product of a convolution runs over all segments at once. Layers are
-stateless between calls except for their parameters (and batch-norm running
+so each product of a convolution runs over all segments at once. Batch
+norm takes that layout only, a (B, C) batch as the (1, C, B) view
+``x.T[None]``, and has a fixed eps and momentum. Layers are stateless
+between calls except for their parameters (and batch-norm running
 statistics, which only a train-mode forward mutates, and the kernel blocks
 a convolution derives from immutable weights): ``forward`` returns
 ``(output, cache)`` and ``backward`` accumulates parameter gradients and
@@ -182,32 +184,29 @@ class Conv1d:
         self.weight.grad += d_lags.reshape(self.kernel_size, i, o).transpose(2, 1, 0)
 
 
-def _channel_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-channel sum of a * b over (B, C) or (B, C, L), without the product array."""
-    return np.einsum("bc,bc->c" if a.ndim == 2 else "bcl,bcl->c", a, b)
+BN_EPS = 1e-5       # batch norm's variance floor
+BN_MOMENTUM = 0.1   # weight of each train batch in the running statistics
 
 
 class BatchNorm1d:
-    """Per-channel batch normalization over every axis but the channel axis 1.
+    """Per-channel batch normalization of a time-major (L, C, B) array, with
+    statistics over axes (0, 2), the fixed variance floor ``BN_EPS`` and
+    running statistics that move by the fixed ``BN_MOMENTUM`` per batch.
 
-    Accepts (B, C) or the conv networks' time-major (L, C, B); the
-    statistics run over axes (0, 2), so the code is the same in either
-    layout. Train mode uses biased batch variance for normalization,
-    unbiased for the running estimate, and rejects an input with fewer than
-    two values per channel (x.size // C < 2, where the statistics are
-    degenerate). It centres the input once, takes the variance from the
-    centred array and divides it in place into x_hat, and its cache holds
-    x_hat and the batch std only, not the input. Eval mode is forward-only:
-    it applies the running statistics as one per-channel scale and shift,
+    Train mode uses biased batch variance for normalization, unbiased for
+    the running estimate, and rejects an input with fewer than two values
+    per channel (L * B < 2, where the statistics are degenerate). It centres
+    the input once, takes the variance from the centred array and divides it
+    in place into x_hat, and its cache holds x_hat and the batch std only,
+    not the input. Eval mode is forward-only: it applies the running
+    statistics as one per-channel scale and shift,
     x * (gamma / std) + (beta - mean * gamma / std) (``eval_affine``), and
     returns a None cache, so :meth:`backward` is the train backward.
     """
 
-    def __init__(self, num_features: int, name: str, eps: float = 1e-5, momentum: float = 0.1):
+    def __init__(self, num_features: int, name: str):
         self.num_features = num_features
         self.name = name
-        self.eps = eps
-        self.momentum = momentum
         self.gamma = Parameter(f"{name}.gamma", np.ones(num_features))
         self.beta = Parameter(f"{name}.beta", np.zeros(num_features))
         self.running_mean = np.zeros(num_features)
@@ -223,59 +222,50 @@ class BatchNorm1d:
     def eval_affine(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-channel (scale, shift) that eval mode applies: gamma / std
         and beta - mean * gamma / std."""
-        scale = self.gamma.value / np.sqrt(self.running_var + self.eps)
+        scale = self.gamma.value / np.sqrt(self.running_var + BN_EPS)
         return scale, self.beta.value - self.running_mean * scale
-
-    def _axes_and_shape(self, x: np.ndarray) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        if x.ndim == 2:
-            return (0,), (1, self.num_features)
-        if x.ndim == 3:
-            return (0, 2), (1, self.num_features, 1)
-        raise ValueError(f"expected 2D or 3D input, got shape {x.shape}")
 
     def forward(self, x: np.ndarray, mode: str) -> tuple[np.ndarray, dict | None]:
         x = np.asarray(x, dtype=np.float64)
-        if x.shape[1] != self.num_features:
-            raise ValueError(f"expected {self.num_features} channels, got {x.shape}")
-        axes, bshape = self._axes_and_shape(x)
+        if x.ndim != 3 or x.shape[1] != self.num_features:
+            raise ValueError(f"expected input (length, {self.num_features}, batch), got {x.shape}")
         if mode == "eval":
             scale, shift = self.eval_affine()
-            y = x * scale.reshape(bshape)
-            y += shift.reshape(bshape)
+            y = x * scale[:, None]
+            y += shift[:, None]
             return ensure_finite(y, "batchnorm output"), None
         if mode != "train":
             raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
         n = x.size // self.num_features
         if n < 2:
             raise ValueError("batch normalization needs >= 2 values per channel in train mode")
-        mean = x.mean(axis=axes)
-        x_hat = x - mean.reshape(bshape)
-        var = _channel_dot(x_hat, x_hat) / n
-        self.running_mean *= 1.0 - self.momentum
-        self.running_mean += self.momentum * mean
-        self.running_var *= 1.0 - self.momentum
-        self.running_var += self.momentum * var * n / (n - 1)
-        std = np.sqrt(var + self.eps)
-        x_hat /= std.reshape(bshape)
-        y = x_hat * self.gamma.value.reshape(bshape)
-        y += self.beta.value.reshape(bshape)
+        mean = x.mean(axis=(0, 2))
+        x_hat = x - mean[:, None]
+        var = np.einsum("lcb,lcb->c", x_hat, x_hat) / n  # no product array
+        self.running_mean *= 1.0 - BN_MOMENTUM
+        self.running_mean += BN_MOMENTUM * mean
+        self.running_var *= 1.0 - BN_MOMENTUM
+        self.running_var += BN_MOMENTUM * var * n / (n - 1)
+        std = np.sqrt(var + BN_EPS)
+        x_hat /= std[:, None]
+        y = x_hat * self.gamma.value[:, None]
+        y += self.beta.value[:, None]
         return ensure_finite(y, "batchnorm output"), {"x_hat": x_hat, "std": std}
 
     def backward(self, g: np.ndarray, cache: dict | None) -> np.ndarray:
         if cache is None:
             raise ValueError(f"{self.name}: eval mode is forward-only and has no backward")
         x_hat, std = cache["x_hat"], cache["std"]
-        axes, bshape = self._axes_and_shape(g)
-        sum_g = g.sum(axis=axes)
-        sum_gx = _channel_dot(g, x_hat)
+        sum_g = g.sum(axis=(0, 2))
+        sum_gx = np.einsum("lcb,lcb->c", g, x_hat)
         self.beta.grad += sum_g
         self.gamma.grad += sum_gx
         # gamma/std * (g - mean(g) - x_hat * mean(g * x_hat)), in one buffer
         n = g.size // self.num_features
-        dx = x_hat * (-sum_gx / n).reshape(bshape)
+        dx = x_hat * (-sum_gx / n)[:, None]
         dx += g
-        dx -= (sum_g / n).reshape(bshape)
-        dx *= (self.gamma.value / std).reshape(bshape)
+        dx -= (sum_g / n)[:, None]
+        dx *= (self.gamma.value / std)[:, None]
         return dx
 
 

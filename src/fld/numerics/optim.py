@@ -6,16 +6,19 @@ import numpy as np
 
 from .layers import Parameter, ensure_finite
 
+# decays of the first- and second-moment averages, and the denominator's floor
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 class Adam:
-    """Adam with bias correction and L2 weight decay added to the gradient.
+    """Adam with bias correction and L2 weight decay added to the gradient;
+    the betas and eps are the fixed ``ADAM_BETA1``, ``ADAM_BETA2``, ``ADAM_EPS``.
 
     Moment state is keyed by parameter name and persists across steps; the
     same instance must be reused for the whole run.
     """
 
-    def __init__(self, params: list[Parameter], lr: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8, weight_decay: float = 0.0):
+    def __init__(self, params: list[Parameter], lr: float, weight_decay: float = 0.0):
         if lr <= 0.0:
             raise ValueError(f"learning rate must be positive, got {lr}")
         names = [p.name for p in params]
@@ -23,9 +26,6 @@ class Adam:
             raise ValueError("parameter names must be unique")
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
         self.m = {p.name: np.zeros_like(p.value) for p in params}
@@ -33,19 +33,19 @@ class Adam:
 
     def step(self) -> None:
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        bc1 = 1.0 - ADAM_BETA1 ** self.t
+        bc2 = 1.0 - ADAM_BETA2 ** self.t
         for p in self.params:
             g = p.grad
             if self.weight_decay != 0.0:
                 g = g + self.weight_decay * p.value
             m = self.m[p.name]
             v = self.v[p.name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p.value -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * g * g
+            p.value -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
             ensure_finite(p.value, f"parameter {p.name} after Adam step")
 
     def zero_grad(self) -> None:

@@ -1,3 +1,8 @@
+import json
+import re
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -217,3 +222,57 @@ def test_normalization_of_other_dims_rejected_when_loaded(tmp_path):
     save_checkpoint(ckpt, tmp_path / "m.ckpt")
     with pytest.raises(ValueError, match="normalization has 1 dims, model config 3"):
         load_checkpoint(tmp_path / "m.ckpt")
+
+
+def _edit(*keys, value=None):
+    """A header edit that sets the item at ``keys`` to ``value``, or
+    deletes it when ``value`` is None."""
+    def edit(header):
+        target = header
+        for key in keys[:-1]:
+            target = target[key]
+        if value is None:
+            del target[keys[-1]]
+        else:
+            target[keys[-1]] = value
+        return header
+    return edit
+
+
+def _repeat_first_array(header):
+    header["arrays"].append(dict(header["arrays"][0]))
+    return header
+
+
+# header edits, each written back under a valid checksum; a repeated array
+# name gets its own payload record, so only the directory is at fault
+MALFORMED_HEADERS = {
+    "no seed": _edit("seed"),
+    "no arrays": _edit("arrays"),
+    "config without dims": _edit("config", "dims"),
+    "list header": lambda header: [header],
+    "float in a shape": _edit("arrays", 0, "shape", 0, value=2.0),
+    "unknown config key": _edit("config", "depth", value=3),
+    "dims 0": _edit("config", "dims", value=0),
+    "hidden 0": _edit("config", "hidden", value=0),
+    "repeated array name": _repeat_first_array,
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_HEADERS)
+def test_malformed_header_rejected_naming_the_file(tmp_path, case):
+    ckpt, _ = make_checkpoint()
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(ckpt, path)
+    raw = path.read_bytes()
+    start = 8 + 4 + 8  # magic, version, header length
+    end = start + struct.unpack_from("<Q", raw, 12)[0]
+    header = MALFORMED_HEADERS[case](json.loads(raw[start:end]))
+    payload = raw[end:-4]
+    if case == "repeated array name":
+        payload += ckpt.arrays[next(iter(ckpt.arrays))].astype("<f8").tobytes()
+    text = json.dumps(header).encode("utf-8")
+    blob = raw[:12] + struct.pack("<Q", len(text)) + text + payload
+    path.write_bytes(blob + struct.pack("<I", zlib.crc32(blob)))
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        load_checkpoint(path)

@@ -76,7 +76,7 @@ class TestReconstructLatent:
     def test_zero_amplitude_gives_offset(self):
         model = tiny_model()
         zhat, _ = model.reconstruct_latent(np.zeros((1, 2)), np.ones((1, 2)),
-                                           np.zeros((1, 2)), np.full((1, 2), 0.3))
+                                           np.zeros((1, 2)), np.full((1, 2), 0.3), [0])
         assert np.allclose(zhat, 0.3)
 
     def test_full_cycle_phase_shift_is_identity(self):
@@ -86,8 +86,8 @@ class TestReconstructLatent:
         f = rng.uniform(0.5, 3.0, (1, 2))
         a = rng.uniform(0.5, 2.0, (1, 2))
         b = rng.normal(size=(1, 2))
-        z1, _ = model.reconstruct_latent(phi, f, a, b)
-        z2, _ = model.reconstruct_latent(phi + 1.0, f, a, b)
+        z1, _ = model.reconstruct_latent(phi, f, a, b, [0])
+        z2, _ = model.reconstruct_latent(phi + 1.0, f, a, b, [0])
         assert np.max(np.abs(z1 - z2)) < 1e-9
 
     def test_phase_step_equals_grid_shift(self):
@@ -99,7 +99,7 @@ class TestReconstructLatent:
         a = rng.uniform(0.5, 2.0, (1, 2))
         b = rng.normal(size=(1, 2))
         stepped, _ = model.reconstruct_latent(phi, f, a, b, np.array([1]))
-        advanced, _ = model.reconstruct_latent(phi + f * model.config.dt, f, a, b)
+        advanced, _ = model.reconstruct_latent(phi + f * model.config.dt, f, a, b, [0])
         assert np.max(np.abs(stepped - advanced)) < 1e-12
 
     def test_round_trip_with_analytic_phase_oracle(self):
@@ -110,7 +110,7 @@ class TestReconstructLatent:
         f_true = k / (h * dt)
         phi_true, a_true, b_true = 0.17, 1.4, -0.6
         zhat, _ = model.reconstruct_latent(np.array([[phi_true]]), np.array([[f_true]]),
-                                           np.array([[a_true]]), np.array([[b_true]]))
+                                           np.array([[a_true]]), np.array([[b_true]]), [0])
         curve = zhat[:, 0]  # (1, c, H)
         f, a, b, _ = model.spectrum_params(curve)
         assert abs(f[0, 0] - f_true) < 1e-9
@@ -217,8 +217,33 @@ def test_propagation_loss_with_grads_consumes_the_analysis_caches():
     items = np.random.default_rng(13).normal(size=(3, 4, 4, 16))
     analysis = model.analyze(items[:, 0], "train")
     enc_caches = analysis[4][0]
-    model.propagation_loss(analysis, items, "train", want_grads=True)
+    model.propagation_loss(analysis, items, want_grads=True)
     assert enc_caches == []
+
+
+def test_propagation_loss_renders_in_the_analysis_mode():
+    model = tiny_model()
+    items = np.random.default_rng(15).normal(size=(3, 4, 4, 16))
+
+    def decoder_stats():
+        return [a.copy() for _, bn, _ in model.decoder if bn is not None
+                for a in bn.state_arrays().values()]
+
+    # a train-mode analysis renders the decoder in train mode, even without
+    # gradients: its batch norms move their running statistics
+    before = decoder_stats()
+    model.propagation_loss(model.analyze(items[:, 0], "train"), items)
+    assert not any(np.array_equal(a, b) for a, b in zip(before, decoder_stats()))
+    assert not any(p.grad.any() for p in model.parameters())
+    # an eval-mode analysis renders in eval mode and leaves them bitwise alone
+    before = decoder_stats()
+    model.propagation_loss(model.analyze(items[:, 0], "eval"), items)
+    assert all(np.array_equal(a, b) for a, b in zip(before, decoder_stats()))
+    # and its gradients are refused before any accumulates or any statistic moves
+    with pytest.raises(ValueError, match="forward-only"):
+        model.propagation_loss(model.analyze(items[:, 0], "eval"), items, want_grads=True)
+    assert all(np.array_equal(a, b) for a, b in zip(before, decoder_stats()))
+    assert not any(p.grad.any() for p in model.parameters())
 
 
 @pytest.mark.parametrize("frozen", [False, True], ids=["unfrozen", "frozen"])
