@@ -61,6 +61,11 @@ class ModelCheckpoint:
         if self.normalization.mean.shape != (dims,):
             raise ValueError(f"normalization has {self.normalization.mean.size} dims, "
                              f"model config {dims}")
+        for name in ("seed", "iteration"):  # a numpy integer is stored as a plain int
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            setattr(self, name, int(value))
 
 
 def save_checkpoint(checkpoint: ModelCheckpoint, path: str | Path) -> None:
@@ -121,8 +126,8 @@ def load_checkpoint(path: str | Path) -> ModelCheckpoint:
             model_kind=header["model_kind"],
             config=header["config"],
             normalization=NormalizationStats.from_dict(header["normalization"]),
-            seed=int(header["seed"]),
-            iteration=int(header["iteration"]),
+            seed=header["seed"],
+            iteration=header["iteration"],
             arrays=arrays,
         )
     except (AttributeError, KeyError, TypeError) as exc:  # a field missing or of a wrong type

@@ -63,7 +63,7 @@ def propagate(state: LatentRollState, dt: float) -> LatentRollState:
 
 def encode_state(model: FLDModel, segment: np.ndarray) -> LatentRollState:
     """Latent state and parameterization of one normalized segment."""
-    phi, f, a, b, _ = model.analyze(segment)
+    phi, f, a, b, _ = model.analyze(segment[None])
     return LatentRollState(phi=phi[0], freq=f[0], amp=a[0], offset=b[0])
 
 
@@ -151,7 +151,7 @@ def anchored_gate_loss(model: FLDModel, segments: np.ndarray,
     """Eval-mode training loss of the stack (N+1, d, H) anchored at its
     earliest segment, whose (phi, f, a, b) ``anchor`` gives if it is
     already analysed."""
-    analysis = model.analyze(segments[0]) if anchor is None else anchor
+    analysis = model.analyze(segments[:1]) if anchor is None else anchor
     return model.propagation_loss(analysis, segments[None])[0]
 
 
@@ -208,21 +208,17 @@ class GateRunner:
     that completes its segment (a ``LatentRollState`` would re-wrap phi).
     Once the window is full each frame's ``gate_step`` gets the item
     anchored H+N-1 frames back and its analyses; while it is not (warm-up,
-    or after a None frame empties it) it gets None: a ``no_input`` fallback."""
+    or after a None frame empties it) it gets None: a ``no_input`` fallback.
+    It starts from the all-zero state, which may be assigned before a step."""
 
-    def __init__(self, checkpoint: ModelCheckpoint, gate: GateConfig,
-                 initial_state: LatentRollState | None = None):
+    def __init__(self, checkpoint: ModelCheckpoint, gate: GateConfig):
         self.model = build_fld_model(checkpoint, "the gate")
         self.normalization = checkpoint.normalization
         self.gate = gate
         cfg = self.model.config
         self.frames: deque[np.ndarray] = deque(maxlen=cfg.window + cfg.horizon)
         self.analyses: deque[tuple] = deque(maxlen=cfg.horizon + 1)
-        if initial_state is None:
-            c = cfg.channels
-            initial_state = LatentRollState(np.zeros(c), np.zeros(c),
-                                            np.zeros(c), np.zeros(c))
-        self.state = initial_state
+        self.state = LatentRollState(*np.zeros((4, cfg.channels)))
 
     def step(self, frame: np.ndarray | None) -> GateDecision:
         """Advance one step with a raw (denormalized) frame of shape (dims,),
@@ -248,7 +244,7 @@ class GateRunner:
             view = segment_view(np.stack(self.frames), cfg.window)
             try:
                 with np.errstate(over="raise", invalid="raise"):
-                    analysis = self.model.analyze(view[-1])[:4]
+                    analysis = self.model.analyze(view[-1:])[:4]
             except FloatingPointError as err:
                 self.frames.clear()
                 self.analyses.clear()

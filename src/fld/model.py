@@ -1,7 +1,9 @@
 """The FLD model: a periodic convolutional autoencoder whose latent curves
 are parameterized in the frequency domain, plus the propagation loss that
 makes the parameterization quasi-constant, and the VAE / feed-forward
-comparison baselines.
+comparison baselines, whose MLPs :func:`mlp_blocks` builds. Every model
+trains through one entry, ``train_loss(items, rng)``, which accumulates the
+step's gradients and returns (loss, logged extras).
 
 Conventions
 -----------
@@ -117,6 +119,15 @@ def fold_batch_norm(block: tuple) -> tuple:
     return conv, None, activated
 
 
+def mlp_blocks(sizes: list[int], rng: np.random.Generator, prefix: str,
+               activate_last: bool) -> list:
+    """Blocks of ``Linear`` layers sizes[i] -> sizes[i + 1] named ``{prefix}{i}``,
+    drawn from ``rng`` in order; all activated but the last, unless ``activate_last``."""
+    n = len(sizes) - 1
+    return [(Linear(sizes[i], sizes[i + 1], rng, f"{prefix}{i}"), None,
+             activate_last or i < n - 1) for i in range(n)]
+
+
 def block_parameters(blocks: list) -> list[Parameter]:
     """Parameters of ``blocks`` in order, each layer's before its batch norm's."""
     params = []
@@ -129,7 +140,15 @@ def block_parameters(blocks: list) -> list[Parameter]:
 
 class ConfigDict:
     """``to_dict``/``from_dict`` of the model configs: a JSON-ready dict of
-    the fields, with tuples stored as lists."""
+    the fields, with tuples stored as lists; and the checks they share."""
+
+    def check(self, sizes: tuple[str, ...]) -> None:
+        """Raise ValueError unless the ``sizes`` fields (each tuple entry) are >= 1 and dt > 0."""
+        for name in sizes:
+            if not np.all(np.asarray(getattr(self, name)) >= 1):  # NaN fails too
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not self.dt > 0:
+            raise ValueError("dt must be positive")
 
     def to_dict(self) -> dict:
         return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
@@ -151,17 +170,13 @@ class FLDConfig(ConfigDict):
     final_activation: bool = False  # BN+ELU on the decoder output layer
 
     def __post_init__(self):
-        for name in ("dims", "channels", "hidden"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        self.check(("dims", "channels", "hidden"))
         if self.window < 2:
             raise ValueError("window must be >= 2")
         if self.horizon < 0:
             raise ValueError("horizon must be >= 0")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError("alpha must be in (0, 1]")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
 
     @property
     def kernel(self) -> int:
@@ -252,9 +267,7 @@ class FLDModel:
 
     def encode(self, segments: np.ndarray, mode: str = "eval") -> tuple[np.ndarray, list]:
         x = np.asarray(segments, dtype=np.float64)
-        if x.ndim == 2:
-            x = x[None]
-        if x.shape[1] != self.config.dims or x.shape[2] != self.config.window:
+        if x.shape[1:] != (self.config.dims, self.config.window):
             raise ValueError(f"expected segments (batch, {self.config.dims}, "
                              f"{self.config.window}), got {x.shape}")
         z, caches = blocks_forward(self.encoder, x.T, elu, mode)
@@ -385,7 +398,7 @@ class FLDModel:
 
     def analyze(self, segments: np.ndarray, mode: str = "eval"
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, tuple]:
-        """Segments (B, d, H) or one (d, H) to their parameterization:
+        """Segments (B, d, H) to their parameterization:
         (phi, f, a, b, (encode cache, parameterize cache, mode)), each (B, c)."""
         z, enc_cache = self.encode(segments, mode)
         phi, freq, amp, offset, par_cache = self.parameterize(z, mode)
@@ -494,23 +507,24 @@ class VAEConfig(ConfigDict):
     beta: float = 1e-3
     dt: float = 0.02
 
+    def __post_init__(self):
+        self.check(("dims", "window", "latent", "hidden"))
+        if not self.beta >= 0:
+            raise ValueError("beta must be >= 0")
+
 
 class VAEBaseline:
     """Flat variational autoencoder over flattened segments; ReLU MLPs with a
-    softplus standard-deviation head."""
+    softplus standard-deviation head. ``train_loss`` samples the latent from
+    its rng and reports mse and kl; the loss is mse + beta * kl."""
 
     def __init__(self, config: VAEConfig, rng: np.random.Generator):
         self.config = config
-        n_in = config.dims * config.window
-        sizes = [n_in, *config.hidden]
-        self.encoder = [(Linear(sizes[i], sizes[i + 1], rng, f"vae.enc{i}"), None, True)
-                        for i in range(len(sizes) - 1)]
+        sizes = [config.dims * config.window, *config.hidden]
+        self.encoder = mlp_blocks(sizes, rng, "vae.enc", True)
         self.mean_head = Linear(sizes[-1], config.latent, rng, "vae.mean")
         self.std_head = Linear(sizes[-1], config.latent, rng, "vae.std")
-        dec_sizes = [config.latent, *reversed(config.hidden), n_in]
-        n_dec = len(dec_sizes) - 1
-        self.decoder = [(Linear(dec_sizes[i], dec_sizes[i + 1], rng, f"vae.dec{i}"),
-                         None, i < n_dec - 1) for i in range(n_dec)]
+        self.decoder = mlp_blocks([config.latent, *reversed(sizes)], rng, "vae.dec", False)
 
     def parameters(self) -> list[Parameter]:
         return (block_parameters(self.encoder) + self.mean_head.parameters()
@@ -540,10 +554,11 @@ class VAEBaseline:
                  "soft": c_soft, "dec": dec_caches, "noise": noise, "x": x}
         return recon, mean, std, cache
 
-    def loss_and_grads(self, segments: np.ndarray, rng: np.random.Generator | None,
-                       want_grads: bool = True) -> tuple[float, float, float]:
-        """Returns (total, mse, kl); total = mse + beta * kl."""
-        recon, mean, std, cache = self.forward(segments, rng)
+    item_horizon = 0  # training items carry the segment alone
+
+    def train_loss(self, items: np.ndarray, rng: np.random.Generator
+                   ) -> tuple[float, dict[str, float]]:
+        recon, mean, std, cache = self.forward(items[:, 0], rng)
         x = cache["x"]
         batch = x.shape[0]
         diff = recon - x
@@ -552,22 +567,14 @@ class VAEBaseline:
         kl = float(np.mean(np.sum(0.5 * (mean ** 2 + std ** 2 - 1.0)
                                   - np.log(std), axis=1)))
         total = mse + self.config.beta * kl
-        if want_grads:
-            g = (2.0 / diff.size) * diff
-            g = blocks_backward(self.decoder, g.reshape(batch, -1), cache["dec"], relu_backward)
-            d_mean = g + self.config.beta / batch * mean
-            d_std = g * cache["noise"] + self.config.beta / batch * (std - 1.0 / std)
-            d_pre = softplus_backward(d_std, cache["soft"])
-            gh = self.mean_head.backward(d_mean, cache["mean"])
-            gh += self.std_head.backward(d_pre, cache["stdlin"])
-            blocks_backward(self.encoder, gh, cache["enc"], relu_backward)
-        return total, mse, kl
-
-    item_horizon = 0  # training items carry the segment alone
-
-    def train_loss(self, items: np.ndarray, rng: np.random.Generator
-                   ) -> tuple[float, dict[str, float]]:
-        total, mse, kl = self.loss_and_grads(items[:, 0], rng=rng)
+        g = (2.0 / diff.size) * diff
+        g = blocks_backward(self.decoder, g.reshape(batch, -1), cache["dec"], relu_backward)
+        d_mean = g + self.config.beta / batch * mean
+        d_std = g * cache["noise"] + self.config.beta / batch * (std - 1.0 / std)
+        d_pre = softplus_backward(d_std, cache["soft"])
+        gh = self.mean_head.backward(d_mean, cache["mean"])
+        gh += self.std_head.backward(d_pre, cache["stdlin"])
+        blocks_backward(self.encoder, gh, cache["enc"], relu_backward)
         return total, {"mse": mse, "kl": kl}
 
 
@@ -578,18 +585,19 @@ class FFConfig(ConfigDict):
     hidden: tuple[int, ...] = (512, 512)
     dt: float = 0.02
 
+    def __post_init__(self):
+        self.check(("dims", "window", "hidden"))
+
 
 class FFBaseline:
     """One-step segment predictor: flattened segment in, next segment out,
-    ELU MLP. Multi-step prediction is autoregressive composition."""
+    ELU MLP. Multi-step prediction is autoregressive composition.
+    ``train_loss`` is the one-step mean squared error; its rng is unused."""
 
     def __init__(self, config: FFConfig, rng: np.random.Generator):
         self.config = config
         n = config.dims * config.window
-        sizes = [n, *config.hidden, n]
-        n_layers = len(sizes) - 1
-        self.blocks = [(Linear(sizes[i], sizes[i + 1], rng, f"ff.lin{i}"), None, i < n_layers - 1)
-                       for i in range(n_layers)]
+        self.blocks = mlp_blocks([n, *config.hidden, n], rng, "ff.lin", False)
 
     def parameters(self) -> list[Parameter]:
         return block_parameters(self.blocks)
@@ -618,18 +626,12 @@ class FFBaseline:
             out[:, horizons == step] = current[:, None]
         return out
 
-    def loss_and_grads(self, segments: np.ndarray, targets: np.ndarray,
-                       want_grads: bool = True) -> float:
-        pred, caches = self.forward(segments)
-        diff = pred - np.asarray(targets, dtype=np.float64)
-        loss = float(np.mean(diff ** 2))
-        if want_grads:
-            g = (2.0 / diff.size) * diff.reshape(diff.shape[0], -1)
-            blocks_backward(self.blocks, g, caches, elu_backward)
-        return loss
-
     item_horizon = 1  # training items carry the segment and its successor
 
     def train_loss(self, items: np.ndarray, rng: np.random.Generator
                    ) -> tuple[float, dict]:
-        return self.loss_and_grads(items[:, 0], items[:, 1]), {}
+        pred, caches = self.forward(items[:, 0])
+        diff = pred - items[:, 1]
+        g = (2.0 / diff.size) * diff.reshape(diff.shape[0], -1)
+        blocks_backward(self.blocks, g, caches, elu_backward)
+        return float(np.mean(diff ** 2)), {}

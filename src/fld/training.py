@@ -161,14 +161,13 @@ class EvaluationReport:
 
 def evaluate_prediction(checkpoints: dict[str, ModelCheckpoint],
                         trajectory: Trajectory, horizons,
-                        anchor_stride: int = 5,
-                        groups: dict[str, tuple[int, int]] | None = None
-                        ) -> EvaluationReport:
+                        anchor_stride: int = 5) -> EvaluationReport:
     """Per-horizon relative prediction error for each checkpoint on one
     held-out trajectory. Anchors are subsampled every ``anchor_stride``
     frames; predictions and targets are compared in normalized space. fld
     and pae models run frozen (:meth:`FLDModel.freeze`), as every inference
-    entry point does, so their errors match the unfrozen model's to rounding."""
+    entry point does, so their errors match the unfrozen model's to rounding.
+    Group errors use ``EVAL_GROUPS_27`` for 27-dim models, none otherwise."""
     horizons = np.asarray(sorted(int(h) for h in horizons))
     if horizons.size == 0 or horizons[0] < 0:
         raise ValueError("need at least one non-negative horizon")
@@ -184,10 +183,7 @@ def evaluate_prediction(checkpoints: dict[str, ModelCheckpoint],
             raise ValueError(f"model kind {ckpt.model_kind!r} has no forward-"
                              f"prediction path")
         cfg = model.config
-        if groups is None:
-            grp = EVAL_GROUPS_27 if cfg.dims == 27 else {}
-        else:
-            grp = groups
+        grp = EVAL_GROUPS_27 if cfg.dims == 27 else {}
         pool = ItemPool([ckpt.normalization.apply(trajectory.frames)], cfg.window, max_h)
         first = pool.anchors[pool.strided(anchor_stride), 1]
         view = pool.views[0]

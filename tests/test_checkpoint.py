@@ -14,7 +14,7 @@ from fld.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from fld.model import FLDConfig, FLDModel
+from fld.model import FFBaseline, FFConfig, FLDConfig, FLDModel, VAEBaseline, VAEConfig
 from fld.numerics import Adam
 from fld.signals import NormalizationStats
 
@@ -38,6 +38,17 @@ def test_round_trip_bit_exact(tmp_path):
     assert list(loaded.arrays) == list(ckpt.arrays)
     for name in ckpt.arrays:
         assert np.array_equal(loaded.arrays[name], ckpt.arrays[name]), name
+
+
+def test_numpy_integer_seed_round_trips_as_int(tmp_path):
+    ckpt, model = make_checkpoint()
+    ckpt = checkpoint_from_model(model, "fld", ckpt.normalization,
+                                 seed=np.int64(3), iteration=np.int32(5))
+    assert type(ckpt.seed) is int and type(ckpt.iteration) is int
+    save_checkpoint(ckpt, tmp_path / "m.ckpt")
+    loaded = load_checkpoint(tmp_path / "m.ckpt")
+    assert (loaded.seed, loaded.iteration) == (3, 5)
+    assert type(loaded.seed) is int and type(loaded.iteration) is int
 
 
 def test_build_model_reproduces_forward(tmp_path):
@@ -244,30 +255,65 @@ def _repeat_first_array(header):
     return header
 
 
-# header edits, each written back under a valid checksum; a repeated array
-# name gets its own payload record, so only the directory is at fault
+def _no_dims(header):
+    """Config dims 0 with a 0-dim normalization, so that the two agree."""
+    header["config"]["dims"] = 0
+    header["normalization"] = {"mean": [], "std": []}
+    return header
+
+
+def baseline_checkpoint(kind):
+    stats = NormalizationStats(np.zeros(3), np.ones(3))
+    if kind == "vae":
+        model = VAEBaseline(VAEConfig(dims=3, window=9, latent=2, hidden=(4,)),
+                            np.random.default_rng(0))
+    else:
+        model = FFBaseline(FFConfig(dims=3, window=9, hidden=(4,)), np.random.default_rng(0))
+    return checkpoint_from_model(model, kind, stats, seed=0, iteration=7)
+
+
+# header edits of an fld, vae or ff checkpoint, each written back under a
+# valid checksum; a repeated array name gets its own payload record, so only
+# the directory is at fault
 MALFORMED_HEADERS = {
-    "no seed": _edit("seed"),
-    "no arrays": _edit("arrays"),
-    "config without dims": _edit("config", "dims"),
-    "list header": lambda header: [header],
-    "float in a shape": _edit("arrays", 0, "shape", 0, value=2.0),
-    "unknown config key": _edit("config", "depth", value=3),
-    "dims 0": _edit("config", "dims", value=0),
-    "hidden 0": _edit("config", "hidden", value=0),
-    "repeated array name": _repeat_first_array,
+    "no seed": ("fld", _edit("seed")),
+    "no arrays": ("fld", _edit("arrays")),
+    "config without dims": ("fld", _edit("config", "dims")),
+    "list header": ("fld", lambda header: [header]),
+    "float in a shape": ("fld", _edit("arrays", 0, "shape", 0, value=2.0)),
+    "unknown config key": ("fld", _edit("config", "depth", value=3)),
+    "dims 0": ("fld", _edit("config", "dims", value=0)),
+    "hidden 0": ("fld", _edit("config", "hidden", value=0)),
+    "repeated array name": ("fld", _repeat_first_array),
+    "float seed": ("fld", _edit("seed", value=2.7)),
+    "string seed": ("fld", _edit("seed", value="4")),
+    "boolean iteration": ("fld", _edit("iteration", value=True)),
+    "vae dims 0": ("vae", _no_dims),
+    "vae window 0": ("vae", _edit("config", "window", value=0)),
+    "vae latent 0": ("vae", _edit("config", "latent", value=0)),
+    "vae hidden width 0": ("vae", _edit("config", "hidden", value=[4, 0])),
+    "vae negative beta": ("vae", _edit("config", "beta", value=-1.0)),
+    "vae dt 0": ("vae", _edit("config", "dt", value=0.0)),
+    "ff dims 0": ("ff", _no_dims),
+    "ff window 0": ("ff", _edit("config", "window", value=0)),
+    "ff hidden width 0": ("ff", _edit("config", "hidden", value=[0])),
+    "ff negative dt": ("ff", _edit("config", "dt", value=-1.0)),
+    "fld NaN dt": ("fld", _edit("config", "dt", value=float("nan"))),
+    "vae NaN beta": ("vae", _edit("config", "beta", value=float("nan"))),
+    "vae NaN latent": ("vae", _edit("config", "latent", value=float("nan"))),
 }
 
 
 @pytest.mark.parametrize("case", MALFORMED_HEADERS)
 def test_malformed_header_rejected_naming_the_file(tmp_path, case):
-    ckpt, _ = make_checkpoint()
+    kind, edit = MALFORMED_HEADERS[case]
+    ckpt = make_checkpoint()[0] if kind == "fld" else baseline_checkpoint(kind)
     path = tmp_path / "m.ckpt"
     save_checkpoint(ckpt, path)
     raw = path.read_bytes()
     start = 8 + 4 + 8  # magic, version, header length
     end = start + struct.unpack_from("<Q", raw, 12)[0]
-    header = MALFORMED_HEADERS[case](json.loads(raw[start:end]))
+    header = edit(json.loads(raw[start:end]))
     payload = raw[end:-4]
     if case == "repeated array name":
         payload += ckpt.arrays[next(iter(ckpt.arrays))].astype("<f8").tobytes()

@@ -245,12 +245,25 @@ def test_fallback_stream_is_the_synthesis_rollout(fld_checkpoint):
     model = build_model(fld_checkpoint)
     data = corpus(1)[0].frames
     start = encode_state(model, fld_checkpoint.normalization.apply(data[:16]).T)
-    runner = GateRunner(fld_checkpoint, GateConfig(epsilon=1e-300), initial_state=start)
+    runner = GateRunner(fld_checkpoint, GateConfig(epsilon=1e-300))
+    runner.state = start
     decisions = [runner.step(f) for f in list(data[:40]) + [None] + list(data[40:60])]
     assert {d.verdict for d in decisions} == {"rejected", "no_input"}
     emitted = np.array([d.target_frame for d in decisions])
     rolled = synthesize(fld_checkpoint, decisions[0].state, len(decisions)).frames
     assert np.max(np.abs(emitted - rolled)) / max(1.0, np.max(np.abs(rolled))) < 1e-12
+
+
+def test_runner_starts_from_the_zero_state(fld_checkpoint):
+    runner = GateRunner(fld_checkpoint, GateConfig(epsilon=1.0))
+    state = runner.state
+    c = runner.model.config.channels
+    for values in (state.phi, state.freq, state.amp, state.offset):
+        assert np.array_equal(values, np.zeros(c))
+    assert state.step == 0
+    first = runner.step(corpus(1)[0].frames[0])
+    assert first.verdict == "no_input" and first.state.step == 1
+    assert np.array_equal(first.state.phi, np.zeros(c))
 
 
 def test_runner_emits_no_input_during_warm_up_and_after_gap(fld_checkpoint):
@@ -341,7 +354,7 @@ def test_gate_rejects_a_stack_of_the_wrong_length(fld_checkpoint):
     view = segment_view(fld_checkpoint.normalization.apply(corpus(1)[0].frames), window)
     state = random_state(np.random.default_rng(8))
     for count in (n, n + 2):
-        analyses = [model.analyze(segment)[:4] for segment in view[:count]]
+        analyses = [model.analyze(view[i:i + 1])[:4] for i in range(count)]
         with pytest.raises(ValueError, match=f"full buffer of {n + 1} segments, got {count}"):
             gate_step(view[:count], analyses, state, GateConfig(epsilon=1.0), model,
                       fld_checkpoint.normalization)

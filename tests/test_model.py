@@ -127,6 +127,8 @@ class TestEncodeDecode:
             model.encode(np.zeros((2, 3, 16)))
         with pytest.raises(ValueError):
             model.encode(np.zeros((2, 4, 9)))
+        with pytest.raises(ValueError, match="expected segments"):
+            model.analyze(np.zeros((4, 16)))  # one segment is a batch of one
 
     def test_deterministic_construction_and_forward(self):
         x = np.random.default_rng(5).normal(size=(2, 4, 16))
@@ -338,7 +340,6 @@ class TestLoss:
         model = tiny_model()
         items = self.make_items(model)
         total, per = model.loss_and_grads(items[:, :1], want_grads=False)
-        pred = model.predict(items[:, 0], [0])
         # value matches a hand MSE in train mode
         assert per.size == 1
         model2 = tiny_model()
@@ -399,19 +400,26 @@ class TestVAE:
     def test_beta_zero_is_plain_mse(self):
         vae = self.make(beta=0.0)
         x = np.random.default_rng(1).normal(size=(4, 3, 8))
-        recon, _, _, _ = vae.forward(x, rng=None)
-        total, mse, _ = vae.loss_and_grads(x, rng=None, want_grads=False)
-        assert abs(total - mse) < 1e-15
-        assert abs(mse - np.mean((recon - x) ** 2)) < 1e-12
+        recon, _, _, _ = vae.forward(x, rng=np.random.default_rng(5))
+        total, extras = vae.train_loss(x[:, None], np.random.default_rng(5))
+        assert abs(total - extras["mse"]) < 1e-15
+        assert abs(extras["mse"] - np.mean((recon - x) ** 2)) < 1e-12
 
-    def test_kl_closed_forms(self):
-        # standard normal posterior: KL = 0; (mu=1, sigma=1): KL = 0.5
-        mean = np.array([[0.0]])
-        std = np.array([[1.0]])
-        kl = np.sum(0.5 * (mean**2 + std**2 - 1.0) - np.log(std))
-        assert kl == 0.0
-        kl2 = np.sum(0.5 * (1.0 + 1.0 - 1.0) - 0.0)
-        assert abs(kl2 - 0.5) < 1e-15
+    @pytest.mark.parametrize("mean", [0.0, 1.0])
+    def test_kl_of_a_unit_posterior(self, mean):
+        # heads fixed at mean m and std 1 for every input: KL = 0.5 * m^2 * latent
+        vae = self.make(beta=0.5)
+        latent = vae.config.latent
+        vae.mean_head.weight.value[...] = 0.0
+        vae.mean_head.bias.value[...] = mean
+        vae.std_head.weight.value[...] = 0.0
+        vae.std_head.bias.value[...] = np.log(np.expm1(1.0))  # softplus^-1(1)
+        x = np.random.default_rng(2).normal(size=(3, 3, 8))
+        _, _, std, _ = vae.forward(x)
+        assert np.max(np.abs(std - 1.0)) < 1e-15
+        total, extras = vae.train_loss(x[:, None], np.random.default_rng(4))
+        assert abs(extras["kl"] - 0.5 * mean ** 2 * latent) < 1e-15
+        assert total == extras["mse"] + 0.5 * extras["kl"]
 
     def test_eval_uses_mean_and_is_deterministic(self):
         vae = self.make()
@@ -427,7 +435,7 @@ class TestVAE:
         fixed_noise_rng = lambda: np.random.default_rng(9)
 
         def loss():
-            total, _, _ = vae.loss_and_grads(x, rng=fixed_noise_rng())
+            total, _ = vae.train_loss(x[:, None], fixed_noise_rng())
             return total
 
         err = gradient_check(loss, vae.parameters(), sample=5,
@@ -460,12 +468,13 @@ class TestFF:
         ff = self.make(seed=3)
         rng = np.random.default_rng(5)
         x = rng.normal(size=(16, 3, 8))
+        items = np.stack([x, x], axis=1)
         opt = Adam(ff.parameters(), lr=3e-3)
         for _ in range(400):
             opt.zero_grad()
-            ff.loss_and_grads(x, x)
+            ff.train_loss(items, rng)
             opt.step()
-        assert ff.loss_and_grads(x, x, want_grads=False) < 1e-3
+        assert ff.train_loss(items, rng)[0] < 1e-3
 
     def test_gradients_match_finite_differences(self):
         ff = self.make(seed=4)
@@ -474,7 +483,7 @@ class TestFF:
         y = rng.normal(size=(3, 3, 8))
 
         def loss():
-            return ff.loss_and_grads(x, y)
+            return ff.train_loss(np.stack([x, y], axis=1), rng)[0]
 
         err = gradient_check(loss, ff.parameters(), sample=6,
                              rng=np.random.default_rng(0))
