@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import FFBaseline, FFConfig, FLDConfig, FLDModel, VAEBaseline, VAEConfig
+from .model import FFBaseline, FFConfig, FLDConfig, FLDModel, VAEBaseline, VAEConfig, as_int
 from .signals import NormalizationStats
 
 MAGIC = b"FLDCKPT\0"
@@ -62,10 +62,7 @@ class ModelCheckpoint:
             raise ValueError(f"normalization has {self.normalization.mean.size} dims, "
                              f"model config {dims}")
         for name in ("seed", "iteration"):  # a numpy integer is stored as a plain int
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            setattr(self, name, int(value))
+            setattr(self, name, as_int(name, getattr(self, name), 0))
 
 
 def save_checkpoint(checkpoint: ModelCheckpoint, path: str | Path) -> None:

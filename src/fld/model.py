@@ -1,9 +1,10 @@
 """The FLD model: a periodic convolutional autoencoder whose latent curves
 are parameterized in the frequency domain, plus the propagation loss that
 makes the parameterization quasi-constant, and the VAE / feed-forward
-comparison baselines, whose MLPs :func:`mlp_blocks` builds. Every model
-trains through one entry, ``train_loss(items, rng)``, which accumulates the
-step's gradients and returns (loss, logged extras).
+comparison baselines, whose MLPs :func:`mlp_blocks` builds. Every model is
+a :class:`BlockModel`, whose parameters, state arrays and freezing follow
+from its block list, and trains through one entry, ``train_loss(items,
+rng)``, which accumulates the step's gradients and returns (loss, extras).
 
 Conventions
 -----------
@@ -128,14 +129,42 @@ def mlp_blocks(sizes: list[int], rng: np.random.Generator, prefix: str,
              activate_last or i < n - 1) for i in range(n)]
 
 
-def block_parameters(blocks: list) -> list[Parameter]:
-    """Parameters of ``blocks`` in order, each layer's before its batch norm's."""
-    params = []
-    for layer, bn, _ in blocks:
-        params += layer.parameters()
-        if bn is not None:
-            params += bn.parameters()
-    return params
+class BlockModel:
+    """A model whose ``_blocks()`` hold all its parameters, in checkpoint
+    order; its parameter list, state arrays and freezing follow from them."""
+
+    def parameters(self) -> list[Parameter]:
+        """Each block's layer parameters, then its batch norm's."""
+        return [p for layer, bn, _ in self._blocks()
+                for part in (layer, bn) if part is not None for p in part.parameters()]
+
+    def _batch_norms(self) -> list[BatchNorm1d]:
+        return [bn for _, bn, _ in self._blocks() if bn is not None]
+
+    def state_arrays(self) -> dict[str, np.ndarray]:
+        """The parameter values, then every batch norm's running statistics, by name."""
+        arrays = {p.name: p.value for p in self.parameters()}
+        for bn in self._batch_norms():
+            arrays.update(bn.state_arrays())
+        return arrays
+
+    def freeze(self):
+        """Make every parameter value and running statistic immutable
+        (:func:`~fld.numerics.layers.immutable`), in place, and return the
+        model, which is then inference-only."""
+        for p in self.parameters():
+            p.value = immutable(p.value)
+        for bn in self._batch_norms():
+            bn.running_mean, bn.running_var = immutable(bn.running_mean), immutable(bn.running_var)
+        return self
+
+
+def as_int(name: str, value, floor: int) -> int:
+    """``value`` as a plain int; ValueError unless it is an int or a numpy
+    integer, not a bool, and >= ``floor`` (so NaN and 16.5 fail)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < floor:
+        raise ValueError(f"{name} must be an integer >= {floor}, got {value!r}")
+    return int(value)
 
 
 class ConfigDict:
@@ -143,11 +172,16 @@ class ConfigDict:
     the fields, with tuples stored as lists; and the checks they share."""
 
     def check(self, sizes: tuple[str, ...]) -> None:
-        """Raise ValueError unless the ``sizes`` fields (each tuple entry) are >= 1 and dt > 0."""
+        """Raise ValueError unless each ``sizes`` field, or each entry of a
+        tuple of widths, is an integer at or above its floor (window 2,
+        horizon 0, any other 1), and dt > 0. Stores the sizes as plain ints."""
         for name in sizes:
-            if not np.all(np.asarray(getattr(self, name)) >= 1):  # NaN fails too
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not self.dt > 0:
+            value, floor = getattr(self, name), {"window": 2, "horizon": 0}.get(name, 1)
+            if isinstance(value, (tuple, list)):
+                setattr(self, name, tuple(as_int(name, v, floor) for v in value))
+            else:
+                setattr(self, name, as_int(name, value, floor))
+        if not self.dt > 0:  # NaN fails too
             raise ValueError("dt must be positive")
 
     def to_dict(self) -> dict:
@@ -170,11 +204,7 @@ class FLDConfig(ConfigDict):
     final_activation: bool = False  # BN+ELU on the decoder output layer
 
     def __post_init__(self):
-        self.check(("dims", "channels", "hidden"))
-        if self.window < 2:
-            raise ValueError("window must be >= 2")
-        if self.horizon < 0:
-            raise ValueError("horizon must be >= 0")
+        self.check(("dims", "channels", "window", "horizon", "hidden"))
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError("alpha must be in (0, 1]")
 
@@ -193,7 +223,7 @@ class FLDConfig(ConfigDict):
         return (np.arange(h) - (h - 1)) * self.dt
 
 
-class FLDModel:
+class FLDModel(BlockModel):
     """Encoder, FFT parameterization, sinusoidal latent reconstruction and
     decoder. PAE is this model trained with horizon 0.
 
@@ -228,40 +258,22 @@ class FLDModel:
 
     def _blocks(self) -> list:
         # the phase head reshapes between its linear and its batch norm, so
-        # it runs in phase(); as a block it serves the parameter walks only
+        # it runs in phase(); as a block it serves the BlockModel walks only
         return [*self.encoder, (self.phase_linear, self.phase_bn, False), *self.decoder]
 
-    def parameters(self) -> list[Parameter]:
-        return block_parameters(self._blocks())
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        """All trainable values plus batch-norm running statistics by name."""
-        arrays = {p.name: p.value for p in self.parameters()}
-        for _, bn, _ in self._blocks():
-            if bn is not None:
-                arrays.update(bn.state_arrays())
-        return arrays
-
     def freeze(self) -> "FLDModel":
-        """Make this model inference-only, in place, and return it: fold
-        each encoder and decoder batch norm into its conv
-        (:func:`fold_batch_norm`), then make every parameter value and the
-        phase head's running statistics immutable
-        (:func:`~fld.numerics.layers.immutable`). Eval outputs equal the
-        unfrozen model's to rounding (about 1e-15 relative), not bitwise.
-        Every inference entry point in ``fld`` runs the frozen model, which
-        is forward-only: a train-mode analysis raises, since the phase head
-        cannot update its running statistics, and so do eval gradients
-        (:meth:`propagation_loss`) and every optimizer step.
-        ``state_arrays`` then returns the folded arrays, which no longer
-        match the architecture's checkpoint directory."""
+        """Fold each encoder and decoder batch norm into its conv
+        (:func:`fold_batch_norm`), then freeze (:meth:`BlockModel.freeze`).
+        Eval outputs equal the unfrozen model's to rounding (about 1e-15
+        relative), not bitwise. Every inference entry point in ``fld`` runs
+        the frozen model, which is forward-only: a train-mode analysis
+        raises, since the phase head's batch norm, the one left, cannot
+        update its running statistics; so do eval gradients
+        (:meth:`propagation_loss`) and every optimizer step. ``state_arrays``
+        then returns the folded arrays, not the checkpoint directory."""
         self.encoder = [fold_batch_norm(block) for block in self.encoder]
         self.decoder = [fold_batch_norm(block) for block in self.decoder]
-        for p in self.parameters():
-            p.value = immutable(p.value)
-        bn = self.phase_bn
-        bn.running_mean, bn.running_var = immutable(bn.running_mean), immutable(bn.running_var)
-        return self
+        return super().freeze()
 
     # -- encoder / decoder ----------------------------------------------
 
@@ -513,10 +525,11 @@ class VAEConfig(ConfigDict):
             raise ValueError("beta must be >= 0")
 
 
-class VAEBaseline:
+class VAEBaseline(BlockModel):
     """Flat variational autoencoder over flattened segments; ReLU MLPs with a
     softplus standard-deviation head. ``train_loss`` samples the latent from
-    its rng and reports mse and kl; the loss is mse + beta * kl."""
+    its rng and reports mse and kl; the loss is mse + beta * kl. It has no
+    eval path: ``forward`` always samples, and nothing predicts with it."""
 
     def __init__(self, config: VAEConfig, rng: np.random.Generator):
         self.config = config
@@ -526,29 +539,21 @@ class VAEBaseline:
         self.std_head = Linear(sizes[-1], config.latent, rng, "vae.std")
         self.decoder = mlp_blocks([config.latent, *reversed(sizes)], rng, "vae.dec", False)
 
-    def parameters(self) -> list[Parameter]:
-        return (block_parameters(self.encoder) + self.mean_head.parameters()
-                + self.std_head.parameters() + block_parameters(self.decoder))
+    def _blocks(self) -> list:
+        return [*self.encoder, (self.mean_head, None, False), (self.std_head, None, False),
+                *self.decoder]
 
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        return {p.name: p.value for p in self.parameters()}
-
-    def forward(self, segments: np.ndarray, rng: np.random.Generator | None = None
+    def forward(self, segments: np.ndarray, rng: np.random.Generator
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
-        """Returns (reconstruction, mean, std, cache). Sampling happens only
-        when an rng is supplied (training); otherwise the mean is decoded."""
+        """Returns (reconstruction, mean, std, cache), decoding a latent
+        sampled from ``rng``."""
         x = np.asarray(segments, dtype=np.float64)
         h, enc_caches = blocks_forward(self.encoder, x.reshape(x.shape[0], -1), relu)
         mean, c_mean = self.mean_head.forward(h)
         pre_std, c_stdlin = self.std_head.forward(h)
         std, c_soft = softplus(pre_std)
-        if rng is not None:
-            noise = rng.standard_normal(mean.shape)
-            latent = mean + std * noise
-        else:
-            noise = np.zeros_like(mean)
-            latent = mean
-        out, dec_caches = blocks_forward(self.decoder, latent, relu)
+        noise = rng.standard_normal(mean.shape)
+        out, dec_caches = blocks_forward(self.decoder, mean + std * noise, relu)
         recon = out.reshape(x.shape)
         cache = {"enc": enc_caches, "mean": c_mean, "stdlin": c_stdlin,
                  "soft": c_soft, "dec": dec_caches, "noise": noise, "x": x}
@@ -589,7 +594,7 @@ class FFConfig(ConfigDict):
         self.check(("dims", "window", "hidden"))
 
 
-class FFBaseline:
+class FFBaseline(BlockModel):
     """One-step segment predictor: flattened segment in, next segment out,
     ELU MLP. Multi-step prediction is autoregressive composition.
     ``train_loss`` is the one-step mean squared error; its rng is unused."""
@@ -599,11 +604,8 @@ class FFBaseline:
         n = config.dims * config.window
         self.blocks = mlp_blocks([n, *config.hidden, n], rng, "ff.lin", False)
 
-    def parameters(self) -> list[Parameter]:
-        return block_parameters(self.blocks)
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        return {p.name: p.value for p in self.parameters()}
+    def _blocks(self) -> list:
+        return self.blocks
 
     def forward(self, segments: np.ndarray) -> tuple[np.ndarray, list]:
         x = np.asarray(segments, dtype=np.float64)

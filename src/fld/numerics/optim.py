@@ -19,8 +19,10 @@ class Adam:
     """
 
     def __init__(self, params: list[Parameter], lr: float, weight_decay: float = 0.0):
-        if lr <= 0.0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
+        if not 0.0 < lr < np.inf:  # NaN fails too
+            raise ValueError(f"learning rate must be finite and positive, got {lr}")
+        if not 0.0 <= weight_decay < np.inf:
+            raise ValueError(f"weight decay must be finite and >= 0, got {weight_decay}")
         names = [p.name for p in params]
         if len(set(names)) != len(names):
             raise ValueError("parameter names must be unique")

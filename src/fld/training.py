@@ -21,7 +21,7 @@ from .checkpoint import (
     build_model,
     checkpoint_from_model,
 )
-from .model import FLDModel
+from .model import FLDModel, as_int
 from .numerics import Adam
 from .signals import (
     EVAL_GROUPS_27,
@@ -47,10 +47,12 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("max_iterations", "lr", "weight_decay", "epochs",
-                     "mini_batches", "batch_size"):
-            if getattr(self, name) < 0 or (name != "weight_decay" and getattr(self, name) == 0):
-                raise ValueError(f"{name} must be positive")
+        for name in ("max_iterations", "epochs", "mini_batches", "batch_size"):
+            setattr(self, name, as_int(name, getattr(self, name), 1))
+        if not 0.0 < self.lr < np.inf:  # NaN fails too
+            raise ValueError(f"lr must be finite and positive, got {self.lr}")
+        if not 0.0 <= self.weight_decay < np.inf:
+            raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
 
 
 @dataclass
@@ -73,12 +75,15 @@ def train(model_kind: str, corpus: list[Trajectory], train_config: TrainConfig,
     if model_kind not in MODEL_KINDS:
         raise ValueError(f"unknown model kind {model_kind!r}")
     config_cls, model_cls = MODEL_KINDS[model_kind]
-    dims = corpus[0].dims
-    dt = corpus[0].dt
+    dims, dt = corpus[0].dims, corpus[0].dt
+    if any(t.dims != dims or t.dt != dt for t in corpus):
+        raise ValueError(f"corpus trajectories differ in dims or dt: "
+                         f"{sorted({(t.dims, t.dt) for t in corpus})}")
     if model_config is None:
         model_config = config_cls(dims=dims, dt=dt)
-    if model_config.dims != dims:
-        raise ValueError(f"model config dims {model_config.dims} != corpus dims {dims}")
+    if (model_config.dims, model_config.dt) != (dims, dt):
+        raise ValueError(f"model config dims {model_config.dims}, dt {model_config.dt} "
+                         f"!= corpus dims {dims}, dt {dt}")
 
     if model_kind == "pae":
         model_config = replace(model_config, horizon=0)
@@ -104,17 +109,15 @@ def train(model_kind: str, corpus: list[Trajectory], train_config: TrainConfig,
             for chunk in np.array_split(order, train_config.mini_batches):
                 items = pool.gather(pool_ids[chunk])
                 opt.zero_grad()
-                try:
+                try:  # a non-finite loss, gradient or step
                     total, step_extras = model.train_loss(items, rng)
+                    if not np.isfinite(total):
+                        raise FloatingPointError(f"loss {total}")
+                    opt.step()
                 except FloatingPointError as exc:
                     raise RuntimeError(
                         f"{model_kind} training diverged at iteration {iteration}: "
                         f"{exc}; lower the learning rate") from exc
-                if not np.isfinite(total):
-                    raise RuntimeError(
-                        f"{model_kind} training diverged at iteration {iteration} "
-                        f"(loss {total}); lower the learning rate")
-                opt.step()
                 iter_losses.append(total)
                 for key, val in step_extras.items():
                     iter_extras.setdefault(key, []).append(val)
@@ -164,9 +167,9 @@ def evaluate_prediction(checkpoints: dict[str, ModelCheckpoint],
                         anchor_stride: int = 5) -> EvaluationReport:
     """Per-horizon relative prediction error for each checkpoint on one
     held-out trajectory. Anchors are subsampled every ``anchor_stride``
-    frames; predictions and targets are compared in normalized space. fld
-    and pae models run frozen (:meth:`FLDModel.freeze`), as every inference
-    entry point does, so their errors match the unfrozen model's to rounding.
+    frames; predictions and targets are compared in normalized space. Every
+    model runs frozen (:meth:`~fld.model.BlockModel.freeze`), as every entry
+    point does; fld and pae errors then match the unfrozen model's to rounding.
     Group errors use ``EVAL_GROUPS_27`` for 27-dim models, none otherwise."""
     horizons = np.asarray(sorted(int(h) for h in horizons))
     if horizons.size == 0 or horizons[0] < 0:
@@ -176,9 +179,7 @@ def evaluate_prediction(checkpoints: dict[str, ModelCheckpoint],
     group_errors: dict[str, dict[str, np.ndarray]] = {}
     anchor_count: dict[str, int] = {}
     for name, ckpt in checkpoints.items():
-        model = build_model(ckpt)
-        if isinstance(model, FLDModel):
-            model.freeze()
+        model = build_model(ckpt).freeze()
         if not hasattr(model, "predict"):
             raise ValueError(f"model kind {ckpt.model_kind!r} has no forward-"
                              f"prediction path")

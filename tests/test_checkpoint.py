@@ -51,6 +51,68 @@ def test_numpy_integer_seed_round_trips_as_int(tmp_path):
     assert type(loaded.seed) is int and type(loaded.iteration) is int
 
 
+def test_numpy_integer_config_sizes_save_as_json_ints(tmp_path):
+    model = FLDModel(FLDConfig(dims=3, channels=2, window=np.int64(9), horizon=2, hidden=4),
+                     np.random.default_rng(0))
+    stats = NormalizationStats(np.zeros(3), np.ones(3))
+    save_checkpoint(checkpoint_from_model(model, "fld", stats, 0, 0), tmp_path / "m.ckpt")
+    assert type(load_checkpoint(tmp_path / "m.ckpt").config["window"]) is int
+
+
+# the on-disk array directory of each model kind at a tiny config
+ARRAY_DIRECTORIES = {
+    "fld": ["enc.conv0.weight", "enc.bn0.gamma", "enc.bn0.beta",
+            "enc.conv1.weight", "enc.bn1.gamma", "enc.bn1.beta",
+            "enc.conv2.weight", "enc.bn2.gamma", "enc.bn2.beta",
+            "phase.linear.weight", "phase.bn.gamma", "phase.bn.beta",
+            "dec.conv0.weight", "dec.bn0.gamma", "dec.bn0.beta",
+            "dec.conv1.weight", "dec.bn1.gamma", "dec.bn1.beta",
+            "dec.conv2.weight", "dec.conv2.bias",
+            "enc.bn0.running_mean", "enc.bn0.running_var",
+            "enc.bn1.running_mean", "enc.bn1.running_var",
+            "enc.bn2.running_mean", "enc.bn2.running_var",
+            "phase.bn.running_mean", "phase.bn.running_var",
+            "dec.bn0.running_mean", "dec.bn0.running_var",
+            "dec.bn1.running_mean", "dec.bn1.running_var"],
+    "fld final_activation": [
+            "enc.conv0.weight", "enc.bn0.gamma", "enc.bn0.beta",
+            "enc.conv1.weight", "enc.bn1.gamma", "enc.bn1.beta",
+            "enc.conv2.weight", "enc.bn2.gamma", "enc.bn2.beta",
+            "phase.linear.weight", "phase.bn.gamma", "phase.bn.beta",
+            "dec.conv0.weight", "dec.bn0.gamma", "dec.bn0.beta",
+            "dec.conv1.weight", "dec.bn1.gamma", "dec.bn1.beta",
+            "dec.conv2.weight", "dec.bn2.gamma", "dec.bn2.beta",
+            "enc.bn0.running_mean", "enc.bn0.running_var",
+            "enc.bn1.running_mean", "enc.bn1.running_var",
+            "enc.bn2.running_mean", "enc.bn2.running_var",
+            "phase.bn.running_mean", "phase.bn.running_var",
+            "dec.bn0.running_mean", "dec.bn0.running_var",
+            "dec.bn1.running_mean", "dec.bn1.running_var",
+            "dec.bn2.running_mean", "dec.bn2.running_var"],
+    "vae": ["vae.enc0.weight", "vae.enc0.bias", "vae.enc1.weight", "vae.enc1.bias",
+            "vae.mean.weight", "vae.mean.bias", "vae.std.weight", "vae.std.bias",
+            "vae.dec0.weight", "vae.dec0.bias", "vae.dec1.weight", "vae.dec1.bias",
+            "vae.dec2.weight", "vae.dec2.bias"],
+    "ff": ["ff.lin0.weight", "ff.lin0.bias", "ff.lin1.weight", "ff.lin1.bias",
+           "ff.lin2.weight", "ff.lin2.bias"],
+}
+
+
+@pytest.mark.parametrize("case", ARRAY_DIRECTORIES)
+def test_array_directory_is_pinned(case):
+    rng = np.random.default_rng(0)
+    if case.startswith("fld"):
+        model = FLDModel(FLDConfig(dims=3, channels=2, window=9, horizon=2, hidden=4,
+                                   final_activation=case != "fld"), rng)
+    elif case == "vae":
+        model = VAEBaseline(VAEConfig(dims=3, window=9, latent=2, hidden=(4, 4)), rng)
+    else:
+        model = FFBaseline(FFConfig(dims=3, window=9, hidden=(4, 4)), rng)
+    stats = NormalizationStats(np.zeros(3), np.ones(3))
+    ckpt = checkpoint_from_model(model, case.split()[0], stats, seed=0, iteration=0)
+    assert list(ckpt.arrays) == ARRAY_DIRECTORIES[case]
+
+
 def test_build_model_reproduces_forward(tmp_path):
     ckpt, model = make_checkpoint(seed=3)
     path = tmp_path / "m.ckpt"
@@ -301,6 +363,9 @@ MALFORMED_HEADERS = {
     "fld NaN dt": ("fld", _edit("config", "dt", value=float("nan"))),
     "vae NaN beta": ("vae", _edit("config", "beta", value=float("nan"))),
     "vae NaN latent": ("vae", _edit("config", "latent", value=float("nan"))),
+    "window NaN": ("fld", _edit("config", "window", value=float("nan"))),
+    "horizon NaN": ("fld", _edit("config", "horizon", value=float("nan"))),
+    "window 16.5": ("fld", _edit("config", "window", value=16.5)),
 }
 
 

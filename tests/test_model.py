@@ -415,19 +415,11 @@ class TestVAE:
         vae.std_head.weight.value[...] = 0.0
         vae.std_head.bias.value[...] = np.log(np.expm1(1.0))  # softplus^-1(1)
         x = np.random.default_rng(2).normal(size=(3, 3, 8))
-        _, _, std, _ = vae.forward(x)
+        _, _, std, _ = vae.forward(x, np.random.default_rng(3))
         assert np.max(np.abs(std - 1.0)) < 1e-15
         total, extras = vae.train_loss(x[:, None], np.random.default_rng(4))
         assert abs(extras["kl"] - 0.5 * mean ** 2 * latent) < 1e-15
         assert total == extras["mse"] + 0.5 * extras["kl"]
-
-    def test_eval_uses_mean_and_is_deterministic(self):
-        vae = self.make()
-        x = np.random.default_rng(2).normal(size=(2, 3, 8))
-        r1, m1, s1, _ = vae.forward(x, rng=None)
-        r2, _, _, _ = vae.forward(x, rng=None)
-        assert np.array_equal(r1, r2)
-        assert np.all(s1 > 0.0)  # softplus head
 
     def test_gradients_match_finite_differences(self):
         vae = self.make(beta=0.02, seed=3)
@@ -532,3 +524,32 @@ def test_wrap_phase_range():
     assert np.all(wrapped >= -0.5) and np.all(wrapped < 0.5)
     assert wrapped[0] == -0.5
     assert abs(wrapped[4] - (-0.4)) < 1e-12
+
+
+BAD_SIZES = [
+    (FLDConfig, "window", float("nan")),
+    (FLDConfig, "horizon", float("nan")),
+    (FLDConfig, "window", 16.5),
+    (FLDConfig, "window", 17.0),
+    (FLDConfig, "window", 1),
+    (FLDConfig, "horizon", -1),
+    (FLDConfig, "dims", True),
+    (FLDConfig, "channels", 2.0),
+    (VAEConfig, "latent", np.float64(2.0)),
+    (VAEConfig, "hidden", (4, 2.5)),
+    (FFConfig, "window", 1),
+    (FFConfig, "hidden", (float("nan"),)),
+]
+
+
+@pytest.mark.parametrize("config_cls, name, value", BAD_SIZES)
+def test_config_sizes_are_integers_at_their_floor(config_cls, name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= "):
+        config_cls(**{name: value})
+
+
+def test_numpy_integer_sizes_are_stored_as_int():
+    cfg = FLDConfig(dims=np.int64(3), window=np.int32(9), horizon=np.int64(0), hidden=8)
+    assert all(type(getattr(cfg, n)) is int for n in ("dims", "window", "horizon", "hidden"))
+    ff = FFConfig(dims=3, window=9, hidden=[np.int64(4), 5])
+    assert ff.hidden == (4, 5) and all(type(w) is int for w in ff.hidden)

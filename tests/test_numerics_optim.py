@@ -72,6 +72,15 @@ def test_invalid_lr_rejected():
         Adam([Parameter("p", np.zeros(1))], lr=0.0)
 
 
+@pytest.mark.parametrize("lr, weight_decay", [
+    (float("nan"), 0.0), (float("inf"), 0.0),
+    (0.1, float("nan")), (0.1, float("inf")), (0.1, -1.0),
+])
+def test_non_finite_lr_or_bad_weight_decay_rejected(lr, weight_decay):
+    with pytest.raises(ValueError, match="must be finite"):
+        Adam([Parameter("p", np.zeros(1))], lr=lr, weight_decay=weight_decay)
+
+
 def test_duplicate_names_rejected():
     with pytest.raises(ValueError):
         Adam([Parameter("p", np.zeros(1)), Parameter("p", np.zeros(2))], lr=0.1)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fld.checkpoint import build_model
-from fld.model import FFConfig, FLDConfig, FLDModel
+from fld.model import BlockModel, FFConfig, FLDConfig, FLDModel
 from fld.signals import SyntheticMotionSpec, Trajectory, generate_synthetic, segment_view
 from fld.training import (
     TrainConfig,
@@ -72,6 +72,42 @@ class TestTrain:
             with pytest.raises(RuntimeError, match="diverged"):
                 train("vae", corpus, tiny_train_config(iters=50, lr=1e3),
                       VAEConfig(dims=3, window=16, latent=2, hidden=(16, 8)))
+
+    def test_divergence_in_the_optimizer_step_has_the_diagnostic(self):
+        # a step of 1e308 overflows the first weights inside Adam.step
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(RuntimeError, match="diverged at iteration 0: non-finite "
+                                                   "values in parameter enc.conv0.weight"):
+                train("fld", tiny_corpus(1), tiny_train_config(iters=2, lr=1e308),
+                      FLDConfig(**TINY))
+
+    @pytest.mark.parametrize("field, value", [
+        ("lr", float("nan")), ("lr", float("inf")), ("lr", 0.0),
+        ("weight_decay", float("nan")), ("weight_decay", float("inf")), ("weight_decay", -1e-4),
+        ("batch_size", 2.5), ("max_iterations", 0), ("epochs", True),
+        ("mini_batches", float("nan")),
+    ])
+    def test_bad_train_config_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            tiny_train_config(**{field: value})
+
+    def test_train_config_counts_are_stored_as_int(self):
+        config = tiny_train_config(iters=np.int64(3), batch_size=np.int32(4))
+        assert type(config.max_iterations) is int and type(config.batch_size) is int
+
+    def test_corpus_of_mixed_dims_or_dt_rejected(self):
+        corpus = tiny_corpus(2)
+        mixed_dt = [corpus[0], Trajectory(corpus[1].frames, dt=0.01)]
+        mixed_dims = [corpus[0], Trajectory(corpus[1].frames[:, :2], dt=0.02)]
+        for bad in (mixed_dt, mixed_dims):
+            with pytest.raises(ValueError, match="differ in dims or dt"):
+                train("fld", bad, tiny_train_config(), FLDConfig(**TINY))
+            with pytest.raises(ValueError, match="differ in dims or dt"):
+                train("ff", bad, tiny_train_config())
+
+    def test_model_config_dt_must_match_the_corpus(self):
+        with pytest.raises(ValueError, match=r"dt 0\.05 != corpus dims 3, dt 0\.02"):
+            train("fld", tiny_corpus(1), tiny_train_config(), FLDConfig(**{**TINY, "dt": 0.05}))
 
     def test_corpus_too_short_rejected(self):
         short = [Trajectory(np.zeros((10, 3)))]
@@ -179,6 +215,19 @@ class TestEvaluatePrediction:
         assert np.array_equal(got.errors["ff"], want.errors["ff"])
         for name in ("fld", "pae"):
             assert np.allclose(got.errors[name], want.errors[name], rtol=1e-12, atol=0), name
+
+    def test_every_predicting_model_runs_frozen(self, monkeypatch):
+        corpus, fld, ff = self.trained()
+        frozen, freeze = [], BlockModel.freeze
+
+        def counted_freeze(model):
+            frozen.append(type(model).__name__)
+            return freeze(model)
+
+        monkeypatch.setattr(BlockModel, "freeze", counted_freeze)
+        evaluate_prediction({"ff": ff.checkpoint, "fld": fld.checkpoint}, corpus[0], [0, 2],
+                            anchor_stride=4)
+        assert frozen == ["FFBaseline", "FLDModel"]
 
     def test_deterministic(self):
         corpus, fld, _ = self.trained()
