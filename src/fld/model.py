@@ -58,46 +58,53 @@ def wrap_phase(phi: np.ndarray) -> np.ndarray:
 
 
 # Every network here is a list of blocks (layer, batch norm or None,
-# activated). The activation is passed at each call, never stored in a
-# block, so a call runs the module attribute current at that time (the
-# traced benchmark swaps in wrappers).
+# activated). An activated block with batch norm activates with ELU, inside
+# batch norm. The other blocks' activation is passed at each call, never
+# stored in a block, so a call runs the module attribute current at that
+# time (the traced benchmark swaps in wrappers).
 
 
 def blocks_forward(blocks: list, x: np.ndarray, act, mode: str = "eval"
                    ) -> tuple[np.ndarray, list]:
     """Run each block's layer, then its batch norm if any, then ``act`` if
-    activated. Returns (output, one (layer, batch norm, activation) cache
-    triple per block, None where a stage is absent)."""
+    activated. Batch norm in an activated block applies ELU itself, in the
+    same slab sweep, over the conv output
+    (:meth:`~fld.numerics.layers.BatchNorm1d.forward`), so ``act`` runs only
+    in activated blocks without batch norm: a frozen model's folded blocks
+    and the MLPs. Returns (output, one (layer cache, batch-norm or
+    activation cache) pair per block). A train-mode (conv, batch norm,
+    activated) block caches the conv's input spectrum and kernel blocks,
+    and batch norm's x_hat and std: no activation output."""
     caches = []
     for layer, bn, activated in blocks:
         x, c_layer = layer.forward(x)
-        c_bn = c_act = None
+        c_post = None
         if bn is not None:
-            x, c_bn = bn.forward(x, mode)
-        if activated:
-            x, c_act = act(x)
-        caches.append((c_layer, c_bn, c_act))
+            x, c_post = bn.forward(x, mode, activated)
+        elif activated:
+            x, c_post = act(x)
+        caches.append((c_layer, c_post))
     return x, caches
 
 
 def blocks_backward(blocks: list, g: np.ndarray, caches: list, act_backward) -> np.ndarray:
     """Gradient with respect to the input of :func:`blocks_forward`;
-    accumulates every block's parameter gradients. Consumes ``caches``, as
-    each cache feeds exactly one backward: it pops each block's triple, last
-    block first, and drops each stage's cache (activation, batch norm,
-    layer) once its backward has run, so the list ends empty and a consumed
-    activation is freed before the next stage runs."""
+    accumulates every block's parameter gradients. A block's batch norm
+    takes ELU's derivative itself, and ``act_backward`` runs in activated
+    blocks without one. Consumes ``caches``, as each cache feeds exactly
+    one backward: it pops each block's pair, last block first, and drops
+    the batch-norm or activation cache once its backward has run, so the
+    list ends empty and that cache is freed before the layer's backward."""
     if len(caches) < len(blocks):
         raise ValueError(f"{len(caches)} caches for {len(blocks)} blocks; "
                          "a cache list feeds one backward")
     for layer, bn, activated in reversed(blocks):
-        c_layer, c_bn, c_act = caches.pop()
-        if activated:
-            g = act_backward(g, c_act)
-        c_act = None
+        c_layer, c_post = caches.pop()
         if bn is not None:
-            g = bn.backward(g, c_bn)
-        c_bn = None
+            g = bn.backward(g, c_post)
+        elif activated:
+            g = act_backward(g, c_post)
+        c_post = None
         g = layer.backward(g, c_layer)
     return g
 
@@ -372,39 +379,44 @@ class FLDModel(BlockModel):
                            offset: np.ndarray, steps: np.ndarray | list[int]
                            ) -> tuple[np.ndarray, dict]:
         """Latent curves a*sin(2*pi*(f*(T + i*dt) + phi)) + b for each step i
-        in ``steps``, as (B, n_steps, c, H): a view of a time-major buffer,
-        so :meth:`decode` reads it without a copy."""
-        phi = np.atleast_2d(np.asarray(phi, dtype=np.float64))
-        freq = np.atleast_2d(np.asarray(freq, dtype=np.float64))
-        amp = np.atleast_2d(np.asarray(amp, dtype=np.float64))
-        offset = np.atleast_2d(np.asarray(offset, dtype=np.float64))
+        in ``steps``, as (B, n_steps, c, H): a view of a time-major
+        (H, c, B, n_steps) buffer, so :meth:`decode` reads it without a copy.
+        The angle and its sine are computed in that order too, and cached so."""
+        phi = np.atleast_2d(np.asarray(phi, dtype=np.float64)).T
+        freq = np.atleast_2d(np.asarray(freq, dtype=np.float64)).T
+        amp = np.atleast_2d(np.asarray(amp, dtype=np.float64)).T
+        offset = np.atleast_2d(np.asarray(offset, dtype=np.float64)).T
         steps = np.asarray(steps, dtype=np.float64)
         tg = self.config.time_grid  # (H,)
         times = tg[None, :] + steps[:, None] * self.config.dt  # (n_steps, H)
         # i-step propagation enters as a phase advance phi + i*(f*dt), so a
-        # one-step prediction is bitwise the same as advancing phi manually
-        advanced = phi[:, None, :] + steps[None, :, None] * (freq * self.config.dt)[:, None, :]
-        angle = 2.0 * np.pi * (freq[:, None, :, None] * tg[None, None, None, :]
-                               + advanced[..., None])
+        # one-step prediction is bitwise the same as advancing phi manually;
+        # (c, B) parameters against (H,) and (n_steps,) axes
+        advanced = phi[:, :, None] + steps * (freq * self.config.dt)[:, :, None]
+        angle = 2.0 * np.pi * (freq[None, :, :, None] * tg[:, None, None, None]
+                               + advanced[None])
         sin_a = np.sin(angle)
-        batch, n_steps, c, h = sin_a.shape
-        zhat = np.empty((h, c, batch, n_steps)).transpose(2, 3, 1, 0)
-        np.multiply(amp[:, None, :, None], sin_a, out=zhat)
-        zhat += offset[:, None, :, None]
+        zhat = np.multiply(amp[:, :, None], sin_a)
+        zhat += offset[:, :, None]
         cache = {"sin": sin_a, "angle": angle, "amp": amp, "times": times}
-        return zhat, cache
+        return zhat.transpose(2, 3, 1, 0), cache
 
     def reconstruct_latent_backward(self, grad_zhat: np.ndarray, cache: dict
                                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Returns (d_phi, d_freq, d_amp, d_offset), each (B, c)."""
+        """Returns (d_phi, d_freq, d_amp, d_offset), each (B, c). Reads
+        ``grad_zhat`` (B, n_steps, c, H) in its time-major order, the one
+        :meth:`decode_backward` returns."""
         sin_a, amp, times = cache["sin"], cache["amp"], cache["times"]
-        d_amp = np.einsum("bick,bick->bc", grad_zhat, sin_a)
-        d_angle = grad_zhat * np.cos(cache["angle"]) * amp[:, None, :, None]
+        grad = grad_zhat.transpose(3, 2, 0, 1)  # (H, c, B, n_steps)
+        d_amp = np.einsum("kcbi,kcbi->cb", grad, sin_a)
+        d_angle = np.cos(cache["angle"])
+        d_angle *= grad
+        d_angle *= amp[:, :, None]
         two_pi = 2.0 * np.pi
-        d_phi = two_pi * d_angle.sum(axis=(1, 3))
-        d_freq = two_pi * np.einsum("bick,ik->bc", d_angle, times)
-        d_offset = grad_zhat.sum(axis=(1, 3))
-        return d_phi, d_freq, d_amp, d_offset
+        d_phi = two_pi * d_angle.sum(axis=(0, 3))
+        d_freq = two_pi * np.einsum("kcbi,ik->cb", d_angle, times)
+        d_offset = grad.sum(axis=(0, 3))
+        return d_phi.T, d_freq.T, d_amp.T, d_offset.T
 
     # -- analysis / synthesis maps ------------------------------------------
 

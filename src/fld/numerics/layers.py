@@ -13,16 +13,20 @@ a convolution derives from immutable weights): ``forward`` returns
 returns the input gradient. A cache feeds exactly one backward and is
 consumed by it: a convolution removes its input spectrum from the cache
 once dW has read it, and a second backward on that cache raises. The block
-walk in ``fld.model`` drops the batch-norm and activation caches once their
+walk in ``fld.model`` drops each batch-norm or activation cache once its
 backward has run. Callers own the optimizer state and the train/eval mode
 choice; eval mode is forward-only, and batch norm returns no cache there.
 
 The per-element passes make only the full-size arrays their math needs and
-keep no buffer between calls: train-mode batch norm caches x_hat and its
-std only, eval batch norm is one per-channel scale and shift, and ELU
-caches its output only. A convolution is three real matrix products
-against cached DFT matrices, and keeps kernel blocks only for immutable
-weights (see :class:`Conv1d` and :func:`immutable`).
+keep no buffer between calls. Batch norm in an activated block applies the
+block's ELU itself, over cache-sized slabs of its input, and writes the
+activated output over the conv output it consumes; in train mode it caches
+x_hat and its std only, and its backward recomputes ELU's derivative from
+them. Eval batch norm is one per-channel scale and shift. :func:`elu`, which
+caches its output, serves the blocks without batch norm: frozen models'
+folded blocks and the feed-forward baseline. A convolution is three real
+matrix products against cached DFT matrices, and keeps kernel blocks only
+for immutable weights (see :class:`Conv1d` and :func:`immutable`).
 """
 
 from __future__ import annotations
@@ -186,6 +190,18 @@ class Conv1d:
 
 BN_EPS = 1e-5       # batch norm's variance floor
 BN_MOMENTUM = 0.1   # weight of each train batch in the running statistics
+# values per batch-norm slab (512 KiB of float64): a slab is as many time
+# rows of an (L, C, B) array as fit, and at least one, so that the few slab
+# arrays a sweep touches stay in L2; one row of the decoder's 64 x 816
+BN_SLAB_VALUES = 1 << 16
+
+
+def _slabs(x: np.ndarray) -> list[slice]:
+    """Row slices of a time-major (L, C, B) array, at most ``BN_SLAB_VALUES``
+    values or one row each; the first is the tallest, and there is one even
+    when L = 0."""
+    height = max(1, BN_SLAB_VALUES // max(x.shape[1] * x.shape[2], 1))
+    return [slice(t, t + height) for t in range(0, max(len(x), 1), height)]
 
 
 class BatchNorm1d:
@@ -193,15 +209,26 @@ class BatchNorm1d:
     statistics over axes (0, 2), the fixed variance floor ``BN_EPS`` and
     running statistics that move by the fixed ``BN_MOMENTUM`` per batch.
 
-    Train mode uses biased batch variance for normalization, unbiased for
-    the running estimate, and rejects an input with fewer than two values
-    per channel (L * B < 2, where the statistics are degenerate). It centres
-    the input once, takes the variance from the centred array and divides it
-    in place into x_hat, and its cache holds x_hat and the batch std only,
-    not the input. Eval mode is forward-only: it applies the running
-    statistics as one per-channel scale and shift,
-    x * (gamma / std) + (beta - mean * gamma / std) (``eval_affine``), and
-    returns a None cache, so :meth:`backward` is the train backward.
+    ``forward(x, mode, activate=True)`` is the batch norm of an activated
+    block (see ``fld.model.blocks_forward``): it also applies that block's
+    ELU, in both modes, and writes the activated output over ``x``, the
+    conv output it consumes; :meth:`backward` then applies ELU's derivative
+    itself. Without ``activate`` the output is a fresh array.
+
+    Both modes and the backward run over slabs of time rows, each at most
+    ``BN_SLAB_VALUES`` values, so that a slab's per-element steps stay in
+    cache. Train mode uses biased batch variance for normalization, unbiased
+    for the running estimate, and rejects an input with fewer than two values
+    per channel (L * B < 2, where the statistics are degenerate). It reads
+    the input once for the statistics: each slab's mean and centred sum of
+    squares, then merged. One more sweep writes x_hat (a fresh array) and
+    the output. The cache holds x_hat and the batch std only: not the input,
+    and not the activated output, since the backward recomputes
+    ELU' = exp(min(gamma * x_hat + beta, 0)) slab by slab. Eval mode is
+    forward-only: it applies the running statistics as one per-channel scale
+    and shift, x * (gamma / std) + (beta - mean * gamma / std)
+    (``eval_affine``), and returns a None cache, so :meth:`backward` is the
+    train backward. Either mode raises on a non-finite value before ELU.
     """
 
     def __init__(self, num_features: int, name: str):
@@ -225,47 +252,102 @@ class BatchNorm1d:
         scale = self.gamma.value / np.sqrt(self.running_var + BN_EPS)
         return scale, self.beta.value - self.running_mean * scale
 
-    def forward(self, x: np.ndarray, mode: str) -> tuple[np.ndarray, dict | None]:
+    def forward(self, x: np.ndarray, mode: str, activate: bool = False
+                ) -> tuple[np.ndarray, dict | None]:
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 3 or x.shape[1] != self.num_features:
             raise ValueError(f"expected input (length, {self.num_features}, batch), got {x.shape}")
-        if mode == "eval":
-            scale, shift = self.eval_affine()
-            y = x * scale[:, None]
-            y += shift[:, None]
-            return ensure_finite(y, "batchnorm output"), None
-        if mode != "train":
+        if mode not in ("train", "eval"):
             raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
+        slabs = _slabs(x)
+        scratch = np.empty(x[slabs[0]].shape)  # one slab's temporary, reused
+        if mode == "train":
+            n = x.size // self.num_features
+            if n < 2:
+                raise ValueError("batch normalization needs >= 2 values per channel in train mode")
+            mean, var = self._moments(x, slabs, scratch)
+            self.running_mean *= 1.0 - BN_MOMENTUM
+            self.running_mean += BN_MOMENTUM * mean
+            self.running_var *= 1.0 - BN_MOMENTUM
+            self.running_var += BN_MOMENTUM * var * n / (n - 1)
+            std = np.sqrt(var + BN_EPS)
+            x_hat = np.empty(x.shape)
+        else:
+            scale, shift = self.eval_affine()
+        y = x if activate else np.empty(x.shape)  # each slab is read before it is written
+        for s in slabs:
+            ys = y[s]
+            if mode == "train":
+                np.subtract(x[s], mean[:, None], out=x_hat[s])
+                x_hat[s] /= std[:, None]
+                np.multiply(x_hat[s], self.gamma.value[:, None], out=ys)
+                ys += self.beta.value[:, None]
+            else:
+                np.multiply(x[s], scale[:, None], out=ys)
+                ys += shift[:, None]
+            ensure_finite(ys, "batchnorm output")
+            if activate:  # as elu() computes it: max(u, expm1(min(u, 0)))
+                u_neg = np.minimum(ys, 0.0, out=scratch[:len(ys)])
+                np.expm1(u_neg, out=u_neg)
+                np.maximum(ys, u_neg, out=ys)
+        if mode == "eval":
+            return y, None
+        return y, {"x_hat": x_hat, "std": std, "activated": activate}
+
+    def _moments(self, x: np.ndarray, slabs: list[slice], scratch: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+        """Per-channel mean and biased variance of ``x``, one slab at a time:
+        the slabs' means weighted by their share of the rows, and their
+        centred sums of squares plus each slab's count times its mean's
+        squared offset. One slab gives its own mean and variance exactly."""
         n = x.size // self.num_features
-        if n < 2:
-            raise ValueError("batch normalization needs >= 2 values per channel in train mode")
-        mean = x.mean(axis=(0, 2))
-        x_hat = x - mean[:, None]
-        var = np.einsum("lcb,lcb->c", x_hat, x_hat) / n  # no product array
-        self.running_mean *= 1.0 - BN_MOMENTUM
-        self.running_mean += BN_MOMENTUM * mean
-        self.running_var *= 1.0 - BN_MOMENTUM
-        self.running_var += BN_MOMENTUM * var * n / (n - 1)
-        std = np.sqrt(var + BN_EPS)
-        x_hat /= std[:, None]
-        y = x_hat * self.gamma.value[:, None]
-        y += self.beta.value[:, None]
-        return ensure_finite(y, "batchnorm output"), {"x_hat": x_hat, "std": std}
+        means, squares, shares = [], [], []
+        for s in slabs:
+            xs = x[s]
+            m = xs.mean(axis=(0, 2))
+            centred = np.subtract(xs, m[:, None], out=scratch[:len(xs)])
+            means.append(m)
+            squares.append(np.einsum("lcb,lcb->c", centred, centred))  # no product array
+            shares.append(len(xs) / len(x))
+        means, shares = np.array(means), np.array(shares)[:, None]
+        mean = (shares * means).sum(axis=0)
+        m2 = np.sum(squares, axis=0) + (n * shares * (means - mean) ** 2).sum(axis=0)
+        return mean, m2 / n
 
     def backward(self, g: np.ndarray, cache: dict | None) -> np.ndarray:
         if cache is None:
             raise ValueError(f"{self.name}: eval mode is forward-only and has no backward")
         x_hat, std = cache["x_hat"], cache["std"]
-        sum_g = g.sum(axis=(0, 2))
-        sum_gx = np.einsum("lcb,lcb->c", g, x_hat)
+        slabs = _slabs(x_hat)
+        # first sweep: dx holds the gradient at batch norm's output, through
+        # ELU' = exp(min(gamma * x_hat + beta, 0)) in an activated block
+        dx = np.empty(x_hat.shape)
+        scratch = np.empty(dx[slabs[0]].shape)
+        sum_g = np.zeros(self.num_features)
+        sum_gx = np.zeros(self.num_features)
+        for s in slabs:
+            gs = dx[s]
+            if cache["activated"]:
+                np.multiply(x_hat[s], self.gamma.value[:, None], out=gs)
+                gs += self.beta.value[:, None]
+                np.minimum(gs, 0.0, out=gs)
+                np.exp(gs, out=gs)
+                gs *= g[s]
+            else:
+                gs[...] = g[s]
+            sum_g += gs.sum(axis=(0, 2))
+            sum_gx += np.einsum("lcb,lcb->c", gs, x_hat[s])
         self.beta.grad += sum_g
         self.gamma.grad += sum_gx
-        # gamma/std * (g - mean(g) - x_hat * mean(g * x_hat)), in one buffer
-        n = g.size // self.num_features
-        dx = x_hat * (-sum_gx / n)[:, None]
-        dx += g
-        dx -= (sum_g / n)[:, None]
-        dx *= (self.gamma.value / std)[:, None]
+        # second sweep: gamma/std * (g - mean(g) - x_hat * mean(g * x_hat))
+        n = x_hat.size // self.num_features
+        slope, offset = (-sum_gx / n)[:, None], (sum_g / n)[:, None]
+        scale = (self.gamma.value / std)[:, None]
+        for s in slabs:
+            gs = dx[s]
+            gs += np.multiply(x_hat[s], slope, out=scratch[:len(gs)])
+            gs -= offset
+            gs *= scale
         return dx
 
 

@@ -40,7 +40,7 @@ class Trajectory:
         self.frames = np.asarray(self.frames, dtype=np.float64)
         if self.frames.ndim != 2:
             raise ValueError(f"frames must be (n, d), got shape {self.frames.shape}")
-        if self.dt <= 0:
+        if not self.dt > 0:  # NaN fails too
             raise ValueError(f"dt must be positive, got {self.dt}")
         if not np.all(np.isfinite(self.frames)):
             raise ValueError("trajectory contains non-finite values")

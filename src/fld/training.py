@@ -49,6 +49,7 @@ class TrainConfig:
     def __post_init__(self):
         for name in ("max_iterations", "epochs", "mini_batches", "batch_size"):
             setattr(self, name, as_int(name, getattr(self, name), 1))
+        self.seed = as_int("seed", self.seed, 0)
         if not 0.0 < self.lr < np.inf:  # NaN fails too
             raise ValueError(f"lr must be finite and positive, got {self.lr}")
         if not 0.0 <= self.weight_decay < np.inf:

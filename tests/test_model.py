@@ -1,4 +1,5 @@
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,11 +11,12 @@ from fld.model import (
     FLDModel,
     VAEBaseline,
     VAEConfig,
+    blocks_backward,
     blocks_forward,
     fold_batch_norm,
     wrap_phase,
 )
-from fld.numerics import Adam, BatchNorm1d, Conv1d, elu, elu_backward
+from fld.numerics import Adam, BatchNorm1d, Conv1d, elu, elu_backward, layers
 from fourier_oracles import naive_dft
 from gradcheck import gradient_check
 
@@ -167,11 +169,11 @@ def consumption_order(blocks, caches):
     :func:`blocks_backward` runs the stages (a function, so that no loop
     variable of the caller keeps a cache alive)."""
     refs = []
-    for (_, bn, activated), (c_layer, c_bn, c_act) in zip(reversed(blocks), reversed(caches)):
-        if activated:
-            refs.append(weakref.ref(c_act["y"]))
+    for (_, bn, activated), (c_layer, c_post) in zip(reversed(blocks), reversed(caches)):
         if bn is not None:
-            refs.append(weakref.ref(c_bn["x_hat"]))
+            refs.append(weakref.ref(c_post["x_hat"]))  # batch norm applies ELU itself
+        elif activated:
+            refs.append(weakref.ref(c_post["y"]))
         refs.append(weakref.ref(c_layer["x_spec"]))
     return refs
 
@@ -182,7 +184,6 @@ def test_decode_backward_frees_each_cache_once_consumed(final_activation, monkey
     rng = np.random.default_rng(11)
     shat, (_, caches) = model.render(*rng.normal(size=(4, 3, 2)), [0, 1], mode="train")
     g = np.ones((shat.shape[0] * shat.shape[1],) + shat.shape[2:])
-    del shat  # with a final activation it is that ELU's cached output
     consumed = consumption_order(model.decoder, caches)
     live_at_stage = []
 
@@ -196,11 +197,67 @@ def test_decode_backward_frees_each_cache_once_consumed(final_activation, monkey
         layer.backward = spy(layer.backward)
         if bn is not None:
             bn.backward = spy(bn.backward)
+    # a separate ELU backward would be one stage more than ``consumed`` counts
     monkeypatch.setattr("fld.model.elu_backward", spy(elu_backward))
     model.decode_backward(g, caches)
     # each stage ran after every earlier stage's cache was freed
     assert live_at_stage == [0] * len(consumed)
     assert caches == [] and all(r() is None for r in consumed)
+
+
+def test_fused_block_gradients_match_finite_differences():
+    # a (conv, batch norm, activated) block: batch norm applies ELU and its
+    # derivative itself, here over slabs of 2 rows of a 7-row input
+    rng = np.random.default_rng(14)
+    conv, bn = Conv1d(2, 3, 3, rng, "c", bias=False), BatchNorm1d(3, "bn")
+    bn.gamma.value[:], bn.beta.value[:] = [1.4, 0.6, 0.9], [0.3, -0.5, 0.1]
+    block = [(conv, bn, True)]
+    x, weights = rng.normal(size=(7, 2, 3)), rng.normal(size=(7, 3, 3))
+
+    def run(inputs):
+        out, caches = blocks_forward(block, inputs, elu, "train")
+        return float(np.sum(out * weights)), blocks_backward(block, weights, caches, elu_backward)
+
+    with mock.patch.object(layers, "BN_SLAB_VALUES", 2 * 3 * 3):
+        assert gradient_check(lambda: run(x)[0], conv.parameters() + bn.parameters()) < 1e-6
+        dx, h = run(x)[1].reshape(-1), 1e-6
+        for i, step in enumerate(np.eye(x.size) * h):
+            step = step.reshape(x.shape)
+            numeric = (run(x + step)[0] - run(x - step)[0]) / (2 * h)
+            assert abs(dx[i] - numeric) < 1e-6 * max(1.0, abs(numeric))
+
+
+def cache_nbytes(obj, seen=None):
+    """Bytes of the distinct arrays a nested cache refers to."""
+    seen = set() if seen is None else seen
+    if isinstance(obj, np.ndarray):
+        if id(obj) in seen:
+            return 0
+        seen.add(id(obj))
+        return obj.nbytes
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, (list, tuple)):
+        return sum(cache_nbytes(v, seen) for v in obj)
+    return 0
+
+
+@pytest.mark.parametrize("final_activation", [False, True])
+def test_train_render_caches_x_hat_and_spectra_but_no_activation(final_activation):
+    model = tiny_model(final_activation=final_activation)
+    cfg, batch, steps = model.config, 3, 4
+    params = np.random.default_rng(15).normal(size=(4, batch, cfg.channels))
+    _, cache = model.render(*params, np.arange(steps), mode="train")
+    segments, h, f8 = batch * steps, cfg.window, 8
+    bins = (h + (cfg.kernel - 1) // 2) // 2 + 1
+    # reconstruction: sin and angle (H, c, B, N+1), amp (c, B), times (N+1, H)
+    want = (2 * h * cfg.channels * segments + cfg.channels * batch + steps * h) * f8
+    for conv, bn, _ in model.decoder:
+        i, o = conv.in_channels, conv.out_channels
+        want += (bins * 2 * i * segments + bins * 2 * i * 2 * o) * f8  # spectrum, kernel blocks
+        if bn is not None:
+            want += (h * o * segments + o) * f8  # x_hat and std; no ELU output
+    assert cache_nbytes(cache) == want
 
 
 def test_blocks_backward_rejects_a_short_or_consumed_cache_list():

@@ -1,9 +1,10 @@
 import tracemalloc
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fld.numerics import (
@@ -23,6 +24,7 @@ from fld.numerics import (
     softplus,
     softplus_backward,
 )
+from fld.numerics import layers
 from fld.numerics.fourier import dft_matrices
 from fld.numerics.layers import BN_EPS
 
@@ -407,6 +409,77 @@ class TestBatchNorm1d:
         arrays = [v for v in cache.values() if isinstance(v, np.ndarray)]
         assert arrays
         assert not any(np.shares_memory(a, buffer) for a in arrays)
+
+
+def slab_rows(height, channels, batch):
+    """Patch batch norm's slab size to ``height`` rows of a (L, C, B) array."""
+    return mock.patch.object(layers, "BN_SLAB_VALUES", height * channels * batch)
+
+
+class TestFusedBatchNormElu:
+    """Batch norm with ``activate=True``, the fused block's batch norm and
+    ELU, against the BatchNorm1d -> elu composition it replaces."""
+
+    @staticmethod
+    def twins(channels, rng):
+        """Two batch norms with the same drawn parameters and running statistics."""
+        gamma, beta = rng.uniform(0.5, 2.0, channels), rng.normal(size=channels)
+        mean, var = rng.normal(size=channels), rng.uniform(0.5, 2.0, channels)
+        out = []
+        for _ in range(2):
+            bn = BatchNorm1d(channels, "bn")
+            bn.gamma.value[:], bn.beta.value[:] = gamma, beta
+            bn.running_mean[:], bn.running_var[:] = mean, var
+            out.append(bn)
+        return out
+
+    @settings(max_examples=60)
+    @given(length=st.integers(1, 9), channels=st.integers(1, 3), batch=st.integers(1, 4),
+           height=st.integers(1, 4), mode=st.sampled_from(["train", "eval"]),
+           seed=st.integers(0, 2 ** 16))
+    @example(length=1, channels=2, batch=2, height=3, mode="train", seed=0)  # L*B = 2
+    @example(length=2, channels=3, batch=1, height=4, mode="train", seed=1)  # L*B = 2
+    @example(length=7, channels=2, batch=3, height=3, mode="train", seed=2)  # 7 = 3 + 3 + 1
+    @example(length=5, channels=1, batch=2, height=2, mode="eval", seed=3)
+    def test_matches_the_unfused_composition(self, length, channels, batch, height, mode, seed):
+        assume(mode == "eval" or length * batch >= 2)
+        rng = np.random.default_rng(seed)
+        x = rng.normal(loc=0.4, scale=1.7, size=(length, channels, batch))
+        g = rng.normal(size=x.shape)
+        fused, plain = self.twins(channels, rng)
+        buffer = x.copy()
+        with slab_rows(height, channels, batch):
+            normed, c_bn = plain.forward(x, mode)
+            want, c_act = elu(normed)
+            got, cache = fused.forward(buffer, mode, activate=True)
+            # same slabs and steps, so the forward is bitwise the composition's
+            assert got is buffer and got.tobytes() == want.tobytes()
+            assert np.array_equal(fused.running_mean, plain.running_mean)
+            assert np.array_equal(fused.running_var, plain.running_var)
+            if mode == "eval":
+                assert cache is None
+                return
+            assert sorted(cache) == ["activated", "std", "x_hat"]
+            dx = fused.backward(g, cache)
+            want_dx = plain.backward(elu_backward(g, c_act), c_bn)
+        # ELU' as exp(min(u, 0)) against y + 1: equal to rounding
+        for a, b in [(dx, want_dx), (fused.gamma.grad, plain.gamma.grad),
+                     (fused.beta.grad, plain.beta.grad)]:
+            assert np.max(np.abs(a - b)) <= 1e-12 * max(np.max(np.abs(b)), 1.0)
+        # and the slab-merged statistics against whole-array numpy
+        oracle = (x - x.mean(axis=(0, 2))[:, None]) / np.sqrt(x.var(axis=(0, 2)) + BN_EPS)[:, None]
+        oracle = elu(oracle * fused.gamma.value[:, None] + fused.beta.value[:, None])[0]
+        assert np.max(np.abs(got - oracle)) <= 1e-12 * max(np.max(np.abs(oracle)), 1.0)
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_raises(self, mode, bad):
+        # -inf would leave ELU as -1, so the check runs before ELU
+        x = np.random.default_rng(6).normal(size=(5, 2, 3))
+        x[3, 1, 2] = bad
+        with slab_rows(1, 2, 3), np.errstate(invalid="ignore"):
+            with pytest.raises(FloatingPointError, match="non-finite values in batchnorm output"):
+                BatchNorm1d(2, "bn").forward(x, mode, activate=True)
 
 
 class TestLinear:

@@ -59,6 +59,18 @@ class TestLoadCsv:
         p.write_bytes(b"1.0,2.0\r\n3.0,4.0\r\n")
         assert len(load_csv(p, d=2)) == 2
 
+    def test_nan_dt_rejected(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("1.0,2.0\n3.0,4.0\n")
+        with pytest.raises(ValueError, match="dt must be positive"):
+            load_csv(p, d=2, dt=float("nan"))
+
+
+@pytest.mark.parametrize("dt", [float("nan"), 0.0, -0.02])
+def test_trajectory_rejects_a_dt_that_is_not_positive(dt):
+    with pytest.raises(ValueError, match="dt must be positive"):
+        Trajectory(np.zeros((3, 2)), dt=dt)
+
 
 class TestNormalization:
     def test_constant_dimension_clamped(self):

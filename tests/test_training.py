@@ -95,6 +95,15 @@ class TestTrain:
         config = tiny_train_config(iters=np.int64(3), batch_size=np.int32(4))
         assert type(config.max_iterations) is int and type(config.batch_size) is int
 
+    @pytest.mark.parametrize("seed", [2.5, -1, True])
+    def test_bad_seed_rejected_up_front(self, seed):
+        with pytest.raises(ValueError, match="^seed must be an integer >= 0"):
+            tiny_train_config(seed=seed)
+
+    def test_numpy_integer_seed_is_stored_as_int(self):
+        config = tiny_train_config(seed=np.uint32(7))
+        assert type(config.seed) is int and config.seed == 7
+
     def test_corpus_of_mixed_dims_or_dt_rejected(self):
         corpus = tiny_corpus(2)
         mixed_dt = [corpus[0], Trajectory(corpus[1].frames, dt=0.01)]
