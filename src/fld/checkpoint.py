@@ -27,8 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import FFBaseline, FFConfig, FLDConfig, FLDModel, VAEBaseline, VAEConfig, as_int
-from .signals import NormalizationStats
+from .model import FFBaseline, FFConfig, FLDConfig, FLDModel, as_int
+from .signals import NormalizationStats, Trajectory, check_corpus
 
 MAGIC = b"FLDCKPT\0"
 VERSION = 1
@@ -37,7 +37,6 @@ VERSION = 1
 MODEL_KINDS = {
     "fld": (FLDConfig, FLDModel),
     "pae": (FLDConfig, FLDModel),
-    "vae": (VAEConfig, VAEBaseline),
     "ff": (FFConfig, FFBaseline),
 }
 
@@ -63,6 +62,13 @@ class ModelCheckpoint:
                              f"model config {dims}")
         for name in ("seed", "iteration"):  # a numpy integer is stored as a plain int
             setattr(self, name, as_int(name, getattr(self, name), 0))
+
+    def normalized_frames(self, corpus: list[Trajectory]) -> list[np.ndarray]:
+        """Each trajectory's frames in the model's normalized space, after
+        :func:`~fld.signals.check_corpus` against the config's dims and dt."""
+        check_corpus(corpus, self.config["dims"], self.config["dt"],
+                     f"{self.model_kind} checkpoint")
+        return [self.normalization.apply(t.frames) for t in corpus]
 
 
 def save_checkpoint(checkpoint: ModelCheckpoint, path: str | Path) -> None:

@@ -161,8 +161,8 @@ def calibrate_threshold(checkpoint: ModelCheckpoint, corpus: list[Trajectory],
     propagation loss of every ``anchor_stride``-th item of each trajectory
     in the training corpus."""
     model = build_fld_model(checkpoint, "gate calibration")
-    pool = ItemPool([checkpoint.normalization.apply(t.frames) for t in corpus],
-                    model.config.window, model.config.horizon)
+    pool = ItemPool(checkpoint.normalized_frames(corpus), model.config.window,
+                    model.config.horizon)
     losses = [anchored_gate_loss(model, pool.item(k)) for k in pool.strided(anchor_stride)]
     hasher = hashlib.sha256()
     for ti in pool.trajectories:

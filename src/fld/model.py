@@ -1,10 +1,11 @@
 """The FLD model: a periodic convolutional autoencoder whose latent curves
 are parameterized in the frequency domain, plus the propagation loss that
-makes the parameterization quasi-constant, and the VAE / feed-forward
-comparison baselines, whose MLPs :func:`mlp_blocks` builds. Every model is
-a :class:`BlockModel`, whose parameters, state arrays and freezing follow
-from its block list, and trains through one entry, ``train_loss(items,
-rng)``, which accumulates the step's gradients and returns (loss, extras).
+makes the parameterization quasi-constant, and the feed-forward comparison
+baseline, whose MLP :func:`mlp_blocks` builds. PAE is FLD trained with
+horizon 0. Every model is a :class:`BlockModel`, whose parameters, state
+arrays and freezing follow from its block list, and trains through one
+entry, ``train_loss(items)``, which accumulates the step's gradients and
+returns (loss, extras).
 
 Conventions
 -----------
@@ -41,12 +42,8 @@ from .numerics import (
     elu,
     elu_backward,
     immutable,
-    relu,
-    relu_backward,
     rfft,
     rfft_backward,
-    softplus,
-    softplus_backward,
 )
 
 _POWER_FLOOR = 1e-12
@@ -58,20 +55,21 @@ def wrap_phase(phi: np.ndarray) -> np.ndarray:
 
 
 # Every network here is a list of blocks (layer, batch norm or None,
-# activated). An activated block with batch norm activates with ELU, inside
-# batch norm. The other blocks' activation is passed at each call, never
-# stored in a block, so a call runs the module attribute current at that
-# time (the traced benchmark swaps in wrappers).
+# activated), and every activation is ELU. An activated block with batch
+# norm applies it inside batch norm; the others call this module's ``elu``
+# and ``elu_backward`` globals when they run, never a stored reference, so
+# a call runs the function bound at that time (the traced benchmark swaps
+# in wrappers).
 
 
-def blocks_forward(blocks: list, x: np.ndarray, act, mode: str = "eval"
+def blocks_forward(blocks: list, x: np.ndarray, mode: str = "eval"
                    ) -> tuple[np.ndarray, list]:
-    """Run each block's layer, then its batch norm if any, then ``act`` if
+    """Run each block's layer, then its batch norm if any, then ELU if
     activated. Batch norm in an activated block applies ELU itself, in the
     same slab sweep, over the conv output
-    (:meth:`~fld.numerics.layers.BatchNorm1d.forward`), so ``act`` runs only
-    in activated blocks without batch norm: a frozen model's folded blocks
-    and the MLPs. Returns (output, one (layer cache, batch-norm or
+    (:meth:`~fld.numerics.layers.BatchNorm1d.forward`), so :func:`elu` runs
+    only in activated blocks without batch norm: a frozen model's folded
+    blocks and the MLP. Returns (output, one (layer cache, batch-norm or
     activation cache) pair per block). A train-mode (conv, batch norm,
     activated) block caches the conv's input spectrum and kernel blocks,
     and batch norm's x_hat and std: no activation output."""
@@ -82,19 +80,19 @@ def blocks_forward(blocks: list, x: np.ndarray, act, mode: str = "eval"
         if bn is not None:
             x, c_post = bn.forward(x, mode, activated)
         elif activated:
-            x, c_post = act(x)
+            x, c_post = elu(x)
         caches.append((c_layer, c_post))
     return x, caches
 
 
-def blocks_backward(blocks: list, g: np.ndarray, caches: list, act_backward) -> np.ndarray:
+def blocks_backward(blocks: list, g: np.ndarray, caches: list) -> np.ndarray:
     """Gradient with respect to the input of :func:`blocks_forward`;
     accumulates every block's parameter gradients. A block's batch norm
-    takes ELU's derivative itself, and ``act_backward`` runs in activated
-    blocks without one. Consumes ``caches``, as each cache feeds exactly
-    one backward: it pops each block's pair, last block first, and drops
-    the batch-norm or activation cache once its backward has run, so the
-    list ends empty and that cache is freed before the layer's backward."""
+    takes ELU's derivative itself, and :func:`elu_backward` runs in
+    activated blocks without one. Consumes ``caches``, as each cache feeds
+    exactly one backward: it pops each block's pair, last block first, and
+    drops the batch-norm or activation cache once its backward has run, so
+    the list ends empty and that cache is freed before the layer's backward."""
     if len(caches) < len(blocks):
         raise ValueError(f"{len(caches)} caches for {len(blocks)} blocks; "
                          "a cache list feeds one backward")
@@ -103,7 +101,7 @@ def blocks_backward(blocks: list, g: np.ndarray, caches: list, act_backward) -> 
         if bn is not None:
             g = bn.backward(g, c_post)
         elif activated:
-            g = act_backward(g, c_post)
+            g = elu_backward(g, c_post)
         c_post = None
         g = layer.backward(g, c_layer)
     return g
@@ -127,13 +125,12 @@ def fold_batch_norm(block: tuple) -> tuple:
     return conv, None, activated
 
 
-def mlp_blocks(sizes: list[int], rng: np.random.Generator, prefix: str,
-               activate_last: bool) -> list:
+def mlp_blocks(sizes: list[int], rng: np.random.Generator, prefix: str) -> list:
     """Blocks of ``Linear`` layers sizes[i] -> sizes[i + 1] named ``{prefix}{i}``,
-    drawn from ``rng`` in order; all activated but the last, unless ``activate_last``."""
+    drawn from ``rng`` in order; all activated but the last."""
     n = len(sizes) - 1
-    return [(Linear(sizes[i], sizes[i + 1], rng, f"{prefix}{i}"), None,
-             activate_last or i < n - 1) for i in range(n)]
+    return [(Linear(sizes[i], sizes[i + 1], rng, f"{prefix}{i}"), None, i < n - 1)
+            for i in range(n)]
 
 
 class BlockModel:
@@ -289,18 +286,18 @@ class FLDModel(BlockModel):
         if x.shape[1:] != (self.config.dims, self.config.window):
             raise ValueError(f"expected segments (batch, {self.config.dims}, "
                              f"{self.config.window}), got {x.shape}")
-        z, caches = blocks_forward(self.encoder, x.T, elu, mode)
+        z, caches = blocks_forward(self.encoder, x.T, mode)
         return z.T, caches
 
     def encode_backward(self, grad_z: np.ndarray, caches: list) -> np.ndarray:
-        return blocks_backward(self.encoder, grad_z.T, caches, elu_backward).T
+        return blocks_backward(self.encoder, grad_z.T, caches).T
 
     def decode(self, latent: np.ndarray, mode: str = "eval") -> tuple[np.ndarray, list]:
-        shat, caches = blocks_forward(self.decoder, latent.T, elu, mode)
+        shat, caches = blocks_forward(self.decoder, latent.T, mode)
         return shat.T, caches
 
     def decode_backward(self, grad_out: np.ndarray, caches: list) -> np.ndarray:
-        return blocks_backward(self.decoder, grad_out.T, caches, elu_backward).T
+        return blocks_backward(self.decoder, grad_out.T, caches).T
 
     # -- parameterization -------------------------------------------------
 
@@ -510,89 +507,15 @@ class FLDModel(BlockModel):
         """Future segments per training item."""
         return self.config.horizon
 
-    def train_loss(self, items: np.ndarray, rng: np.random.Generator
-                   ) -> tuple[float, dict[str, np.ndarray]]:
+    def train_loss(self, items: np.ndarray) -> tuple[float, dict[str, np.ndarray]]:
         """One training step's loss and gradients, plus its logged extras."""
         total, per_horizon = self.loss_and_grads(items, mode="train")
         return total, {"per_horizon": per_horizon}
 
 
 # ---------------------------------------------------------------------------
-# Baselines
+# Baseline
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class VAEConfig(ConfigDict):
-    dims: int = 27
-    window: int = 51
-    latent: int = 8
-    hidden: tuple[int, ...] = (512, 256, 128)
-    beta: float = 1e-3
-    dt: float = 0.02
-
-    def __post_init__(self):
-        self.check(("dims", "window", "latent", "hidden"))
-        if not self.beta >= 0:
-            raise ValueError("beta must be >= 0")
-
-
-class VAEBaseline(BlockModel):
-    """Flat variational autoencoder over flattened segments; ReLU MLPs with a
-    softplus standard-deviation head. ``train_loss`` samples the latent from
-    its rng and reports mse and kl; the loss is mse + beta * kl. It has no
-    eval path: ``forward`` always samples, and nothing predicts with it."""
-
-    def __init__(self, config: VAEConfig, rng: np.random.Generator):
-        self.config = config
-        sizes = [config.dims * config.window, *config.hidden]
-        self.encoder = mlp_blocks(sizes, rng, "vae.enc", True)
-        self.mean_head = Linear(sizes[-1], config.latent, rng, "vae.mean")
-        self.std_head = Linear(sizes[-1], config.latent, rng, "vae.std")
-        self.decoder = mlp_blocks([config.latent, *reversed(sizes)], rng, "vae.dec", False)
-
-    def _blocks(self) -> list:
-        return [*self.encoder, (self.mean_head, None, False), (self.std_head, None, False),
-                *self.decoder]
-
-    def forward(self, segments: np.ndarray, rng: np.random.Generator
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
-        """Returns (reconstruction, mean, std, cache), decoding a latent
-        sampled from ``rng``."""
-        x = np.asarray(segments, dtype=np.float64)
-        h, enc_caches = blocks_forward(self.encoder, x.reshape(x.shape[0], -1), relu)
-        mean, c_mean = self.mean_head.forward(h)
-        pre_std, c_stdlin = self.std_head.forward(h)
-        std, c_soft = softplus(pre_std)
-        noise = rng.standard_normal(mean.shape)
-        out, dec_caches = blocks_forward(self.decoder, mean + std * noise, relu)
-        recon = out.reshape(x.shape)
-        cache = {"enc": enc_caches, "mean": c_mean, "stdlin": c_stdlin,
-                 "soft": c_soft, "dec": dec_caches, "noise": noise, "x": x}
-        return recon, mean, std, cache
-
-    item_horizon = 0  # training items carry the segment alone
-
-    def train_loss(self, items: np.ndarray, rng: np.random.Generator
-                   ) -> tuple[float, dict[str, float]]:
-        recon, mean, std, cache = self.forward(items[:, 0], rng)
-        x = cache["x"]
-        batch = x.shape[0]
-        diff = recon - x
-        mse = float(np.mean(diff ** 2))
-        # KL(N(mu, sigma) || N(0, 1)) summed over latent dims, averaged over batch
-        kl = float(np.mean(np.sum(0.5 * (mean ** 2 + std ** 2 - 1.0)
-                                  - np.log(std), axis=1)))
-        total = mse + self.config.beta * kl
-        g = (2.0 / diff.size) * diff
-        g = blocks_backward(self.decoder, g.reshape(batch, -1), cache["dec"], relu_backward)
-        d_mean = g + self.config.beta / batch * mean
-        d_std = g * cache["noise"] + self.config.beta / batch * (std - 1.0 / std)
-        d_pre = softplus_backward(d_std, cache["soft"])
-        gh = self.mean_head.backward(d_mean, cache["mean"])
-        gh += self.std_head.backward(d_pre, cache["stdlin"])
-        blocks_backward(self.encoder, gh, cache["enc"], relu_backward)
-        return total, {"mse": mse, "kl": kl}
 
 
 @dataclass
@@ -609,19 +532,19 @@ class FFConfig(ConfigDict):
 class FFBaseline(BlockModel):
     """One-step segment predictor: flattened segment in, next segment out,
     ELU MLP. Multi-step prediction is autoregressive composition.
-    ``train_loss`` is the one-step mean squared error; its rng is unused."""
+    ``train_loss`` is the one-step mean squared error."""
 
     def __init__(self, config: FFConfig, rng: np.random.Generator):
         self.config = config
         n = config.dims * config.window
-        self.blocks = mlp_blocks([n, *config.hidden, n], rng, "ff.lin", False)
+        self.blocks = mlp_blocks([n, *config.hidden, n], rng, "ff.lin")
 
     def _blocks(self) -> list:
         return self.blocks
 
     def forward(self, segments: np.ndarray) -> tuple[np.ndarray, list]:
         x = np.asarray(segments, dtype=np.float64)
-        out, caches = blocks_forward(self.blocks, x.reshape(x.shape[0], -1), elu)
+        out, caches = blocks_forward(self.blocks, x.reshape(x.shape[0], -1))
         return out.reshape(x.shape), caches
 
     def predict(self, segments: np.ndarray, horizons: np.ndarray | list[int]) -> np.ndarray:
@@ -642,10 +565,9 @@ class FFBaseline(BlockModel):
 
     item_horizon = 1  # training items carry the segment and its successor
 
-    def train_loss(self, items: np.ndarray, rng: np.random.Generator
-                   ) -> tuple[float, dict]:
+    def train_loss(self, items: np.ndarray) -> tuple[float, dict]:
         pred, caches = self.forward(items[:, 0])
         diff = pred - items[:, 1]
         g = (2.0 / diff.size) * diff.reshape(diff.shape[0], -1)
-        blocks_backward(self.blocks, g, caches, elu_backward)
+        blocks_backward(self.blocks, g, caches)
         return float(np.mean(diff ** 2)), {}

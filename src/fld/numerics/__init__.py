@@ -14,10 +14,6 @@ from .layers import (
     elu_backward,
     ensure_finite,
     immutable,
-    relu,
-    relu_backward,
-    softplus,
-    softplus_backward,
 )
 from .optim import Adam
 
@@ -34,10 +30,6 @@ __all__ = [
     "elu_backward",
     "ensure_finite",
     "immutable",
-    "relu",
-    "relu_backward",
     "rfft",
     "rfft_backward",
-    "softplus",
-    "softplus_backward",
 ]

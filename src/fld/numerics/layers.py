@@ -428,29 +428,6 @@ def elu_backward(grad_out: np.ndarray, cache: dict) -> np.ndarray:
     return d
 
 
-def relu(x: np.ndarray) -> tuple[np.ndarray, dict]:
-    pos = x > 0.0
-    return np.where(pos, x, 0.0), {"pos": pos}
-
-
-def relu_backward(grad_out: np.ndarray, cache: dict) -> np.ndarray:
-    return grad_out * cache["pos"]
-
-
-def softplus(x: np.ndarray) -> tuple[np.ndarray, dict]:
-    return np.logaddexp(0.0, x), {"x": x}
-
-
-def softplus_backward(grad_out: np.ndarray, cache: dict) -> np.ndarray:
-    x = cache["x"]
-    pos = x >= 0.0
-    sig = np.empty_like(x)
-    sig[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    sig[~pos] = ex / (1.0 + ex)
-    return grad_out * sig
-
-
 def atan2_phase(sy: np.ndarray, sx: np.ndarray) -> tuple[np.ndarray, dict]:
     """Two-argument phase in cycles, range [-0.5, 0.5)."""
     r2 = sx * sx + sy * sy

@@ -53,6 +53,15 @@ class Trajectory:
         return self.frames.shape[1]
 
 
+def check_corpus(corpus: list[Trajectory], dims: int, dt: float, owner: str) -> None:
+    """Raise ValueError naming the first trajectory whose dims or dt differ
+    from ``owner``'s (a model config or a checkpoint)."""
+    for i, t in enumerate(corpus):
+        if (t.dims, t.dt) != (dims, dt):
+            raise ValueError(f"{owner} dims {dims}, dt {dt} != corpus dims {t.dims}, "
+                             f"dt {t.dt} of trajectory {i}")
+
+
 def load_csv(path: str | Path, d: int, dt: float = DEFAULT_DT,
              has_header: bool = False, label: str | None = None,
              min_frames: int | None = None) -> Trajectory:

@@ -28,6 +28,7 @@ from .signals import (
     ItemPool,
     NormalizationStats,
     Trajectory,
+    check_corpus,
     fit_normalization,
 )
 from .stats import pca_project_2d
@@ -69,22 +70,19 @@ def train(model_kind: str, corpus: list[Trajectory], train_config: TrainConfig,
 
     Returns the checkpoint plus a loss history with one row per iteration:
     "loss", and the per-iteration mean of every extra the model's
-    ``train_loss`` reports ("per_horizon" for FLD, "mse"/"kl" for the VAE).
+    ``train_loss`` reports ("per_horizon" for fld and pae, none for ff).
+    Every trajectory must have the model config's dims and dt
+    (:func:`~fld.signals.check_corpus`); without a config, the first
+    trajectory's.
     """
     if not corpus:
         raise ValueError("empty corpus")
     if model_kind not in MODEL_KINDS:
         raise ValueError(f"unknown model kind {model_kind!r}")
     config_cls, model_cls = MODEL_KINDS[model_kind]
-    dims, dt = corpus[0].dims, corpus[0].dt
-    if any(t.dims != dims or t.dt != dt for t in corpus):
-        raise ValueError(f"corpus trajectories differ in dims or dt: "
-                         f"{sorted({(t.dims, t.dt) for t in corpus})}")
     if model_config is None:
-        model_config = config_cls(dims=dims, dt=dt)
-    if (model_config.dims, model_config.dt) != (dims, dt):
-        raise ValueError(f"model config dims {model_config.dims}, dt {model_config.dt} "
-                         f"!= corpus dims {dims}, dt {dt}")
+        model_config = config_cls(dims=corpus[0].dims, dt=corpus[0].dt)
+    check_corpus(corpus, model_config.dims, model_config.dt, "model config")
 
     if model_kind == "pae":
         model_config = replace(model_config, horizon=0)
@@ -111,7 +109,7 @@ def train(model_kind: str, corpus: list[Trajectory], train_config: TrainConfig,
                 items = pool.gather(pool_ids[chunk])
                 opt.zero_grad()
                 try:  # a non-finite loss, gradient or step
-                    total, step_extras = model.train_loss(items, rng)
+                    total, step_extras = model.train_loss(items)
                     if not np.isfinite(total):
                         raise FloatingPointError(f"loss {total}")
                     opt.step()
@@ -181,12 +179,8 @@ def evaluate_prediction(checkpoints: dict[str, ModelCheckpoint],
     anchor_count: dict[str, int] = {}
     for name, ckpt in checkpoints.items():
         model = build_model(ckpt).freeze()
-        if not hasattr(model, "predict"):
-            raise ValueError(f"model kind {ckpt.model_kind!r} has no forward-"
-                             f"prediction path")
-        cfg = model.config
-        grp = EVAL_GROUPS_27 if cfg.dims == 27 else {}
-        pool = ItemPool([ckpt.normalization.apply(trajectory.frames)], cfg.window, max_h)
+        grp = EVAL_GROUPS_27 if model.config.dims == 27 else {}
+        pool = ItemPool(ckpt.normalized_frames([trajectory]), model.config.window, max_h)
         first = pool.anchors[pool.strided(anchor_stride), 1]
         view = pool.views[0]
         anchor_count[name] = len(first)
@@ -235,7 +229,7 @@ def export_latent_manifold(checkpoint: ModelCheckpoint, corpus: list[Trajectory]
     frame of the corpus; each point is labelled with its segment's newest frame."""
     model = build_fld_model(checkpoint, "latent manifold export")
     traj, frame, (phi, _, amp, _) = _strided_params(
-        model, [checkpoint.normalization.apply(t.frames) for t in corpus], anchor_stride)
+        model, checkpoint.normalized_frames(corpus), anchor_stride)
     if len(traj) < 3:
         raise ValueError("need at least 3 windowable frames for a manifold export")
     feats = np.stack([amp * np.sin(2 * np.pi * phi), amp * np.cos(2 * np.pi * phi)], axis=-1)
@@ -262,7 +256,7 @@ def quasi_constancy_report(checkpoint: ModelCheckpoint, corpus: list[Trajectory]
     relative to its spread across the corpus. Lower is more constant."""
     model = build_fld_model(checkpoint, "quasi-constancy")
     traj, _, (_, f, a, b) = _strided_params(
-        model, [checkpoint.normalization.apply(t.frames) for t in corpus], anchor_stride)
+        model, checkpoint.normalized_frames(corpus), anchor_stride)
     groups = [traj == ti for ti in np.unique(traj)]
     if len(groups) < 2:
         raise ValueError("need at least two windowable trajectories")

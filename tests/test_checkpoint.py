@@ -14,7 +14,7 @@ from fld.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from fld.model import FFBaseline, FFConfig, FLDConfig, FLDModel, VAEBaseline, VAEConfig
+from fld.model import FFBaseline, FFConfig, FLDConfig, FLDModel
 from fld.numerics import Adam
 from fld.signals import NormalizationStats
 
@@ -89,10 +89,6 @@ ARRAY_DIRECTORIES = {
             "dec.bn0.running_mean", "dec.bn0.running_var",
             "dec.bn1.running_mean", "dec.bn1.running_var",
             "dec.bn2.running_mean", "dec.bn2.running_var"],
-    "vae": ["vae.enc0.weight", "vae.enc0.bias", "vae.enc1.weight", "vae.enc1.bias",
-            "vae.mean.weight", "vae.mean.bias", "vae.std.weight", "vae.std.bias",
-            "vae.dec0.weight", "vae.dec0.bias", "vae.dec1.weight", "vae.dec1.bias",
-            "vae.dec2.weight", "vae.dec2.bias"],
     "ff": ["ff.lin0.weight", "ff.lin0.bias", "ff.lin1.weight", "ff.lin1.bias",
            "ff.lin2.weight", "ff.lin2.bias"],
 }
@@ -104,8 +100,6 @@ def test_array_directory_is_pinned(case):
     if case.startswith("fld"):
         model = FLDModel(FLDConfig(dims=3, channels=2, window=9, horizon=2, hidden=4,
                                    final_activation=case != "fld"), rng)
-    elif case == "vae":
-        model = VAEBaseline(VAEConfig(dims=3, window=9, latent=2, hidden=(4, 4)), rng)
     else:
         model = FFBaseline(FFConfig(dims=3, window=9, hidden=(4, 4)), rng)
     stats = NormalizationStats(np.zeros(3), np.ones(3))
@@ -324,17 +318,13 @@ def _no_dims(header):
     return header
 
 
-def baseline_checkpoint(kind):
+def ff_checkpoint():
     stats = NormalizationStats(np.zeros(3), np.ones(3))
-    if kind == "vae":
-        model = VAEBaseline(VAEConfig(dims=3, window=9, latent=2, hidden=(4,)),
-                            np.random.default_rng(0))
-    else:
-        model = FFBaseline(FFConfig(dims=3, window=9, hidden=(4,)), np.random.default_rng(0))
-    return checkpoint_from_model(model, kind, stats, seed=0, iteration=7)
+    model = FFBaseline(FFConfig(dims=3, window=9, hidden=(4,)), np.random.default_rng(0))
+    return checkpoint_from_model(model, "ff", stats, seed=0, iteration=7)
 
 
-# header edits of an fld, vae or ff checkpoint, each written back under a
+# header edits of an fld or ff checkpoint, each written back under a
 # valid checksum; a repeated array name gets its own payload record, so only
 # the directory is at fault
 MALFORMED_HEADERS = {
@@ -350,40 +340,54 @@ MALFORMED_HEADERS = {
     "float seed": ("fld", _edit("seed", value=2.7)),
     "string seed": ("fld", _edit("seed", value="4")),
     "boolean iteration": ("fld", _edit("iteration", value=True)),
-    "vae dims 0": ("vae", _no_dims),
-    "vae window 0": ("vae", _edit("config", "window", value=0)),
-    "vae latent 0": ("vae", _edit("config", "latent", value=0)),
-    "vae hidden width 0": ("vae", _edit("config", "hidden", value=[4, 0])),
-    "vae negative beta": ("vae", _edit("config", "beta", value=-1.0)),
-    "vae dt 0": ("vae", _edit("config", "dt", value=0.0)),
     "ff dims 0": ("ff", _no_dims),
     "ff window 0": ("ff", _edit("config", "window", value=0)),
     "ff hidden width 0": ("ff", _edit("config", "hidden", value=[0])),
     "ff negative dt": ("ff", _edit("config", "dt", value=-1.0)),
+    "ff dt 0": ("ff", _edit("config", "dt", value=0.0)),
+    "ff second hidden width 0": ("ff", _edit("config", "hidden", value=[4, 0])),
     "fld NaN dt": ("fld", _edit("config", "dt", value=float("nan"))),
-    "vae NaN beta": ("vae", _edit("config", "beta", value=float("nan"))),
-    "vae NaN latent": ("vae", _edit("config", "latent", value=float("nan"))),
+    "ff NaN hidden width": ("ff", _edit("config", "hidden", value=[float("nan")])),
     "window NaN": ("fld", _edit("config", "window", value=float("nan"))),
     "horizon NaN": ("fld", _edit("config", "horizon", value=float("nan"))),
     "window 16.5": ("fld", _edit("config", "window", value=16.5)),
 }
 
 
-@pytest.mark.parametrize("case", MALFORMED_HEADERS)
-def test_malformed_header_rejected_naming_the_file(tmp_path, case):
-    kind, edit = MALFORMED_HEADERS[case]
-    ckpt = make_checkpoint()[0] if kind == "fld" else baseline_checkpoint(kind)
-    path = tmp_path / "m.ckpt"
+def save_with_header_edit(ckpt, path, edit, extra_payload=b""):
+    """Save ``ckpt``, then write its header back through ``edit`` under a
+    valid checksum."""
     save_checkpoint(ckpt, path)
     raw = path.read_bytes()
     start = 8 + 4 + 8  # magic, version, header length
     end = start + struct.unpack_from("<Q", raw, 12)[0]
-    header = edit(json.loads(raw[start:end]))
-    payload = raw[end:-4]
-    if case == "repeated array name":
-        payload += ckpt.arrays[next(iter(ckpt.arrays))].astype("<f8").tobytes()
-    text = json.dumps(header).encode("utf-8")
-    blob = raw[:12] + struct.pack("<Q", len(text)) + text + payload
+    text = json.dumps(edit(json.loads(raw[start:end]))).encode("utf-8")
+    blob = raw[:12] + struct.pack("<Q", len(text)) + text + raw[end:-4] + extra_payload
     path.write_bytes(blob + struct.pack("<I", zlib.crc32(blob)))
+
+
+@pytest.mark.parametrize("case", MALFORMED_HEADERS)
+def test_malformed_header_rejected_naming_the_file(tmp_path, case):
+    kind, edit = MALFORMED_HEADERS[case]
+    ckpt = make_checkpoint()[0] if kind == "fld" else ff_checkpoint()
+    extra = b""
+    if case == "repeated array name":
+        extra = ckpt.arrays[next(iter(ckpt.arrays))].astype("<f8").tobytes()
+    path = tmp_path / "m.ckpt"
+    save_with_header_edit(ckpt, path, edit, extra)
     with pytest.raises(ValueError, match=re.escape(str(path))):
+        load_checkpoint(path)
+
+
+def test_vae_checkpoint_is_an_unknown_kind(tmp_path):
+    # the VAE baseline is gone, so a checkpoint it saved no longer loads
+    def as_vae(header):
+        header["model_kind"] = "vae"
+        header["config"] = {"dims": 3, "window": 9, "latent": 2, "hidden": [4],
+                            "beta": 1e-3, "dt": 0.02}
+        return header
+
+    path = tmp_path / "m.ckpt"
+    save_with_header_edit(ff_checkpoint(), path, as_vae)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: unknown model kind 'vae'")):
         load_checkpoint(path)

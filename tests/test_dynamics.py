@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -15,8 +17,14 @@ from fld.dynamics import (
     propagate,
     synthesize,
 )
-from fld.model import FLDConfig, VAEConfig, wrap_phase
-from fld.signals import ItemPool, SyntheticMotionSpec, generate_synthetic, segment_view
+from fld.model import FFConfig, FLDConfig, wrap_phase
+from fld.signals import (
+    ItemPool,
+    SyntheticMotionSpec,
+    Trajectory,
+    generate_synthetic,
+    segment_view,
+)
 from fld.stats import quantile_midpoint
 from fld.training import (
     TrainConfig,
@@ -48,9 +56,9 @@ def fld_checkpoint():
 
 
 @pytest.fixture(scope="module")
-def vae_checkpoint():
-    return train("vae", corpus(), train_config(),
-                 VAEConfig(dims=3, window=16, latent=2, hidden=(16, 8))).checkpoint
+def ff_checkpoint():
+    return train("ff", corpus(), train_config(),
+                 FFConfig(dims=3, window=16, hidden=(16, 8))).checkpoint
 
 
 @pytest.mark.parametrize("entry, message", [
@@ -60,9 +68,30 @@ def vae_checkpoint():
     (lambda ck: calibrate_threshold(ck, corpus()), "gate calibration"),
     (lambda ck: GateRunner(ck, GateConfig(epsilon=1.0)), "the gate"),
 ])
-def test_fld_only_entry_points_reject_vae(vae_checkpoint, entry, message):
+def test_fld_only_entry_points_reject_ff(ff_checkpoint, entry, message):
     with pytest.raises(ValueError, match=f"^{message} needs an fld or pae checkpoint$"):
-        entry(vae_checkpoint)
+        entry(ff_checkpoint)
+
+
+@pytest.mark.parametrize("entry", [
+    lambda ck, data: calibrate_threshold(ck, data),
+    lambda ck, data: evaluate_prediction({"fld": ck}, data[0], horizons=[0, 1]),
+    lambda ck, data: quasi_constancy_report(ck, data),
+    lambda ck, data: export_latent_manifold(ck, data),
+], ids=["calibrate_threshold", "evaluate_prediction", "quasi_constancy_report",
+        "export_latent_manifold"])
+@pytest.mark.parametrize("relabel, dims, dt", [
+    (lambda t: Trajectory(t.frames[:, :1], dt=t.dt), 1, 0.02),
+    (lambda t: Trajectory(t.frames, dt=0.01), 3, 0.01),
+], ids=["wrong dims", "dt relabelled"])
+def test_checkpoint_entry_points_reject_a_corpus_unlike_the_config(
+        fld_checkpoint, entry, relabel, dims, dt):
+    # a 1-dim corpus would otherwise broadcast against the 3-dim normalization
+    data = corpus()
+    data[0] = relabel(data[0])
+    with pytest.raises(ValueError, match=re.escape(
+            f"fld checkpoint dims 3, dt 0.02 != corpus dims {dims}, dt {dt} of trajectory 0")):
+        entry(fld_checkpoint, data)
 
 
 @pytest.mark.parametrize("kwargs, message", [

@@ -9,14 +9,12 @@ from fld.model import (
     FFConfig,
     FLDConfig,
     FLDModel,
-    VAEBaseline,
-    VAEConfig,
     blocks_backward,
     blocks_forward,
     fold_batch_norm,
     wrap_phase,
 )
-from fld.numerics import Adam, BatchNorm1d, Conv1d, elu, elu_backward, layers
+from fld.numerics import Adam, BatchNorm1d, Conv1d, elu_backward, layers
 from fourier_oracles import naive_dft
 from gradcheck import gradient_check
 
@@ -157,10 +155,10 @@ def test_fold_batch_norm_matches_the_eval_block(bias):
     bn.gamma.value[...] = rng.uniform(0.5, 2.0, 4)
     bn.beta.value[...] = rng.normal(size=4)
     x = rng.normal(size=(9, 3, 2))  # time-major (L, C, B)
-    want, _ = blocks_forward([(conv, bn, True)], x, elu)
+    want, _ = blocks_forward([(conv, bn, True)], x)
     folded = fold_batch_norm((conv, bn, True))
     assert folded[0] is conv and folded[1:] == (None, True) and conv.bias.name == "c.bias"
-    got, _ = blocks_forward([folded], x, elu)
+    got, _ = blocks_forward([folded], x)
     assert np.max(np.abs(got - want)) < 1e-14 * np.max(np.abs(want))
 
 
@@ -215,8 +213,8 @@ def test_fused_block_gradients_match_finite_differences():
     x, weights = rng.normal(size=(7, 2, 3)), rng.normal(size=(7, 3, 3))
 
     def run(inputs):
-        out, caches = blocks_forward(block, inputs, elu, "train")
-        return float(np.sum(out * weights)), blocks_backward(block, weights, caches, elu_backward)
+        out, caches = blocks_forward(block, inputs, "train")
+        return float(np.sum(out * weights)), blocks_backward(block, weights, caches)
 
     with mock.patch.object(layers, "BN_SLAB_VALUES", 2 * 3 * 3):
         assert gradient_check(lambda: run(x)[0], conv.parameters() + bn.parameters()) < 1e-6
@@ -449,49 +447,6 @@ class TestLoss:
         assert self.gradient_error(final_activation=True) < 1e-5
 
 
-class TestVAE:
-    def make(self, beta=1e-3, seed=0):
-        cfg = VAEConfig(dims=3, window=8, latent=2, hidden=(16, 8), beta=beta)
-        return VAEBaseline(cfg, np.random.default_rng(seed))
-
-    def test_beta_zero_is_plain_mse(self):
-        vae = self.make(beta=0.0)
-        x = np.random.default_rng(1).normal(size=(4, 3, 8))
-        recon, _, _, _ = vae.forward(x, rng=np.random.default_rng(5))
-        total, extras = vae.train_loss(x[:, None], np.random.default_rng(5))
-        assert abs(total - extras["mse"]) < 1e-15
-        assert abs(extras["mse"] - np.mean((recon - x) ** 2)) < 1e-12
-
-    @pytest.mark.parametrize("mean", [0.0, 1.0])
-    def test_kl_of_a_unit_posterior(self, mean):
-        # heads fixed at mean m and std 1 for every input: KL = 0.5 * m^2 * latent
-        vae = self.make(beta=0.5)
-        latent = vae.config.latent
-        vae.mean_head.weight.value[...] = 0.0
-        vae.mean_head.bias.value[...] = mean
-        vae.std_head.weight.value[...] = 0.0
-        vae.std_head.bias.value[...] = np.log(np.expm1(1.0))  # softplus^-1(1)
-        x = np.random.default_rng(2).normal(size=(3, 3, 8))
-        _, _, std, _ = vae.forward(x, np.random.default_rng(3))
-        assert np.max(np.abs(std - 1.0)) < 1e-15
-        total, extras = vae.train_loss(x[:, None], np.random.default_rng(4))
-        assert abs(extras["kl"] - 0.5 * mean ** 2 * latent) < 1e-15
-        assert total == extras["mse"] + 0.5 * extras["kl"]
-
-    def test_gradients_match_finite_differences(self):
-        vae = self.make(beta=0.02, seed=3)
-        x = np.random.default_rng(4).normal(size=(3, 3, 8))
-        fixed_noise_rng = lambda: np.random.default_rng(9)
-
-        def loss():
-            total, _ = vae.train_loss(x[:, None], fixed_noise_rng())
-            return total
-
-        err = gradient_check(loss, vae.parameters(), sample=5,
-                             rng=np.random.default_rng(0))
-        assert err < 1e-5
-
-
 class TestFF:
     def make(self, seed=0):
         return FFBaseline(FFConfig(dims=3, window=8, hidden=(32, 32)),
@@ -521,9 +476,9 @@ class TestFF:
         opt = Adam(ff.parameters(), lr=3e-3)
         for _ in range(400):
             opt.zero_grad()
-            ff.train_loss(items, rng)
+            ff.train_loss(items)
             opt.step()
-        assert ff.train_loss(items, rng)[0] < 1e-3
+        assert ff.train_loss(items)[0] < 1e-3
 
     def test_gradients_match_finite_differences(self):
         ff = self.make(seed=4)
@@ -532,7 +487,7 @@ class TestFF:
         y = rng.normal(size=(3, 3, 8))
 
         def loss():
-            return ff.train_loss(np.stack([x, y], axis=1), rng)[0]
+            return ff.train_loss(np.stack([x, y], axis=1))[0]
 
         err = gradient_check(loss, ff.parameters(), sample=6,
                              rng=np.random.default_rng(0))
@@ -592,8 +547,8 @@ BAD_SIZES = [
     (FLDConfig, "horizon", -1),
     (FLDConfig, "dims", True),
     (FLDConfig, "channels", 2.0),
-    (VAEConfig, "latent", np.float64(2.0)),
-    (VAEConfig, "hidden", (4, 2.5)),
+    (FLDConfig, "hidden", np.float64(8.0)),
+    (FFConfig, "hidden", (4, 2.5)),
     (FFConfig, "window", 1),
     (FFConfig, "hidden", (float("nan"),)),
 ]

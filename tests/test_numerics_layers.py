@@ -19,10 +19,6 @@ from fld.numerics import (
     elu_backward,
     ensure_finite,
     immutable,
-    relu,
-    relu_backward,
-    softplus,
-    softplus_backward,
 )
 from fld.numerics import layers
 from fld.numerics.fourier import dft_matrices
@@ -565,24 +561,11 @@ class TestActivations:
         want = np.expm1(np.minimum(x, 0.0)) + np.maximum(x, 0.0)
         assert elu(x)[0].tobytes() == want.tobytes()
 
-    def test_relu_values(self):
-        y, _ = relu(np.array([-2.0, 3.0]))
-        assert y[0] == 0.0 and y[1] == 3.0
-
-    def test_softplus_at_zero_is_log_two(self):
-        y, _ = softplus(np.array([0.0]))
-        assert abs(y[0] - np.log(2.0)) < 1e-12
-
-    def test_softplus_positive_everywhere(self):
-        y, _ = softplus(np.linspace(-60, 60, 101))
-        assert np.all(y > 0.0)
-
-    @pytest.mark.parametrize("fn,bwd", [(elu, elu_backward), (relu, relu_backward),
-                                        (softplus, softplus_backward)])
+    @pytest.mark.parametrize("fn,bwd", [(elu, elu_backward)])
     def test_backward_matches_finite_differences(self, fn, bwd):
         rng = np.random.default_rng(0)
         x = rng.normal(size=32) * 2.0
-        x = x[np.abs(x) > 1e-3]  # keep away from relu's kink
+        x = x[np.abs(x) > 1e-3]  # keep away from the kink at 0
         g = rng.normal(size=x.shape)
         _, cache = fn(x)
         dx = bwd(g, cache)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -65,13 +67,12 @@ class TestTrain:
                                   r_fld0.checkpoint.arrays[name]), name
 
     def test_divergence_aborts_with_diagnostic(self):
-        # huge steps drive the VAE std head to zero, so the KL term blows up
-        from fld.model import VAEConfig
-        corpus = tiny_corpus(1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            with pytest.raises(RuntimeError, match="diverged"):
-                train("vae", corpus, tiny_train_config(iters=50, lr=1e3),
-                      VAEConfig(dims=3, window=16, latent=2, hidden=(16, 8)))
+        # the first huge step leaves finite weights whose next loss overflows
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(RuntimeError, match="^ff training diverged at iteration 1: "
+                                                   "loss inf; lower the learning rate$"):
+                train("ff", tiny_corpus(1), tiny_train_config(iters=50, lr=1e60),
+                      FFConfig(dims=3, window=16, hidden=(16, 8)))
 
     def test_divergence_in_the_optimizer_step_has_the_diagnostic(self):
         # a step of 1e308 overflows the first weights inside Adam.step
@@ -108,11 +109,12 @@ class TestTrain:
         corpus = tiny_corpus(2)
         mixed_dt = [corpus[0], Trajectory(corpus[1].frames, dt=0.01)]
         mixed_dims = [corpus[0], Trajectory(corpus[1].frames[:, :2], dt=0.02)]
-        for bad in (mixed_dt, mixed_dims):
-            with pytest.raises(ValueError, match="differ in dims or dt"):
-                train("fld", bad, tiny_train_config(), FLDConfig(**TINY))
-            with pytest.raises(ValueError, match="differ in dims or dt"):
-                train("ff", bad, tiny_train_config())
+        for bad, mismatch in ((mixed_dt, "dims 3, dt 0.01"), (mixed_dims, "dims 2, dt 0.02")):
+            # without a model config, the first trajectory sets dims and dt
+            for kind, config in (("fld", FLDConfig(**TINY)), ("ff", None)):
+                with pytest.raises(ValueError, match=re.escape(
+                        f"model config dims 3, dt 0.02 != corpus {mismatch} of trajectory 1")):
+                    train(kind, bad, tiny_train_config(), config)
 
     def test_model_config_dt_must_match_the_corpus(self):
         with pytest.raises(ValueError, match=r"dt 0\.05 != corpus dims 3, dt 0\.02"):
@@ -127,13 +129,8 @@ class TestTrain:
         with pytest.raises(ValueError, match="model kind"):
             train("gru", tiny_corpus(1), tiny_train_config())
 
-    def test_vae_and_ff_train(self):
-        from fld.model import FFConfig, VAEConfig
+    def test_ff_trains(self):
         corpus = tiny_corpus(1)
-        r_vae = train("vae", corpus, tiny_train_config(iters=30),
-                      VAEConfig(dims=3, window=16, latent=2, hidden=(16, 8)))
-        assert r_vae.history["loss"][-1] < r_vae.history["loss"][0]
-        assert "kl" in r_vae.history
         r_ff = train("ff", corpus, tiny_train_config(iters=30),
                      FFConfig(dims=3, window=16, hidden=(32,)))
         assert r_ff.history["loss"][-1] < r_ff.history["loss"][0]
@@ -196,14 +193,6 @@ class TestEvaluatePrediction:
         with pytest.raises(ValueError, match="^corpus has no trajectory long enough "
                                              "for window 16 plus horizon 10$"):
             evaluate_prediction({"fld": fld.checkpoint}, short, horizons=[10])
-
-    def test_vae_has_no_prediction_path(self):
-        from fld.model import VAEConfig
-        corpus = tiny_corpus(1)
-        vae = train("vae", corpus, tiny_train_config(iters=3),
-                    VAEConfig(dims=3, window=16, latent=2, hidden=(8,)))
-        with pytest.raises(ValueError, match="prediction"):
-            evaluate_prediction({"vae": vae.checkpoint}, corpus[0], horizons=[0])
 
     def test_fld_and_pae_run_frozen(self, monkeypatch):
         corpus, fld, ff = self.trained()
