@@ -56,10 +56,7 @@ class ModelCheckpoint:
         config_cls = MODEL_KINDS[self.model_kind][0]
         if sorted(self.config) != sorted(f.name for f in fields(config_cls)):
             raise ValueError(f"config keys {sorted(self.config)} are not the {self.model_kind} fields")
-        dims = config_cls.from_dict(self.config).dims
-        if self.normalization.mean.shape != (dims,):
-            raise ValueError(f"normalization has {self.normalization.mean.size} dims, "
-                             f"model config {dims}")
+        self.normalization.check_dims(config_cls.from_dict(self.config).dims)
         for name in ("seed", "iteration"):  # a numpy integer is stored as a plain int
             setattr(self, name, as_int(name, getattr(self, name), 0))
 
@@ -171,8 +168,8 @@ def build_model(checkpoint: ModelCheckpoint):
 
 
 def build_fld_model(checkpoint: ModelCheckpoint, purpose: str) -> FLDModel:
-    """:func:`build_model`, frozen (:meth:`FLDModel.freeze`: batch norm
-    folded into the convs, immutable weights, forward-only), for the
+    """:func:`build_model`, frozen (:meth:`~fld.model.BlockModel.freeze`:
+    every batch norm folded, immutable weights, forward-only), for the
     inference entry points that need latent dynamics: the gate, calibration,
     synthesis, latent export and quasi-constancy."""
     if MODEL_KINDS[checkpoint.model_kind][1] is not FLDModel:

@@ -5,9 +5,9 @@ Encoding, decoding and scoring go through ``FLDModel.analyze``,
 ``FLDModel.render`` and ``FLDModel.propagation_loss``, as training does.
 The gate, calibration and synthesis run the frozen model that
 ``build_fld_model`` returns, as every inference entry point in ``fld``
-does: batch norm folded into the convolutions, the weights immutable, and
-forward-only eval mode, which keeps no batch-norm cache and takes no
-gradient.
+does: every batch norm, the phase head's too, folded into the layer before
+it, so the model holds none; the weights and gradients immutable; and
+forward-only eval mode, which takes no gradient.
 
 The gate consumes a stream of frames through a window of the newest H+N
 frames, which holds the N+1 segments of one item (an anchor segment and

@@ -3,7 +3,7 @@ are parameterized in the frequency domain, plus the propagation loss that
 makes the parameterization quasi-constant, and the feed-forward comparison
 baseline, whose MLP :func:`mlp_blocks` builds. PAE is FLD trained with
 horizon 0. Every model is a :class:`BlockModel`, whose parameters, state
-arrays and freezing follow from its block list, and trains through one
+arrays and freezing follow from its block lists, and trains through one
 entry, ``train_loss(items)``, which accumulates the step's gradients and
 returns (loss, extras).
 
@@ -13,8 +13,8 @@ Conventions
   The encoder and decoder run time-major, on (H, C, B), the transpose
   ``.T`` of a segment batch: ``encode``, ``decode`` and their backwards take
   and return (B, C, H) views and flip the layout once at that boundary.
-  The phase head's batch norm sees its (B, 2c) batch as the (1, 2c, B) view
-  ``.T[None]``, the one layout batch norm takes.
+  The phase head reads the encoder's (H, c, B) output, and its per-channel
+  linear writes the (1, 2c, B) layout its batch norm takes.
 * The reconstruction time grid is T = (-(H-1)*dt, ..., -dt, 0): the phase
   indexes the newest frame, so advancing phase by f*dt moves the window
   exactly one frame.
@@ -66,13 +66,11 @@ def blocks_forward(blocks: list, x: np.ndarray, mode: str = "eval"
                    ) -> tuple[np.ndarray, list]:
     """Run each block's layer, then its batch norm if any, then ELU if
     activated. Batch norm in an activated block applies ELU itself, in the
-    same slab sweep, over the conv output
-    (:meth:`~fld.numerics.layers.BatchNorm1d.forward`), so :func:`elu` runs
-    only in activated blocks without batch norm: a frozen model's folded
-    blocks and the MLP. Returns (output, one (layer cache, batch-norm or
-    activation cache) pair per block). A train-mode (conv, batch norm,
-    activated) block caches the conv's input spectrum and kernel blocks,
-    and batch norm's x_hat and std: no activation output."""
+    same slab sweep (:meth:`~fld.numerics.layers.BatchNorm1d.forward`), so
+    :func:`elu` runs only in activated blocks without batch norm: a frozen
+    model's folded blocks and the MLP. Returns (output, one (layer cache,
+    batch-norm or activation cache) pair per block). A train-mode conv block
+    caches the conv's input spectrum and batch norm's x_hat and std only."""
     caches = []
     for layer, bn, activated in blocks:
         x, c_layer = layer.forward(x)
@@ -108,21 +106,22 @@ def blocks_backward(blocks: list, g: np.ndarray, caches: list) -> np.ndarray:
 
 
 def fold_batch_norm(block: tuple) -> tuple:
-    """A (conv, batch norm, activated) block as (conv with bias, None,
-    activated): the conv's weights scaled per output channel by batch norm's
-    eval scale s, and its bias (0 if it has none) times s plus the eval
-    shift. Agrees with the eval block to rounding, not bitwise. A block
-    without batch norm is returned as it is."""
-    conv, bn, activated = block
+    """A (layer, batch norm, activated) block as (layer with bias, None,
+    activated): each row of ``weight.reshape(len(s), -1)``, one per output
+    channel of a conv or the phase head, scaled by batch norm's eval scale s,
+    and the bias (0 if none) times s plus the eval shift. Agrees with the
+    eval block to rounding, not bitwise. Returns a block without batch norm as it is."""
+    layer, bn, activated = block
     if bn is None:
         return block
     scale, shift = bn.eval_affine()
-    conv.weight.value = conv.weight.value * scale[:, None, None]
-    if conv.bias is None:
-        conv.bias = Parameter(f"{conv.name}.bias", shift)
+    weight = layer.weight.value
+    layer.weight.value = (weight.reshape(len(scale), -1) * scale[:, None]).reshape(weight.shape)
+    if layer.bias is None:
+        layer.bias = Parameter(f"{layer.name}.bias", shift)
     else:
-        conv.bias.value = conv.bias.value * scale + shift
-    return conv, None, activated
+        layer.bias.value = layer.bias.value * scale + shift
+    return layer, None, activated
 
 
 def mlp_blocks(sizes: list[int], rng: np.random.Generator, prefix: str) -> list:
@@ -134,32 +133,39 @@ def mlp_blocks(sizes: list[int], rng: np.random.Generator, prefix: str) -> list:
 
 
 class BlockModel:
-    """A model whose ``_blocks()`` hold all its parameters, in checkpoint
-    order; its parameter list, state arrays and freezing follow from them."""
+    """A model whose ``_networks()``, block lists (:func:`blocks_forward`),
+    hold all its parameters, in checkpoint order; its parameter list, state
+    arrays and freezing follow from them."""
+
+    def _blocks(self) -> list:
+        return [block for network in self._networks() for block in network]
 
     def parameters(self) -> list[Parameter]:
         """Each block's layer parameters, then its batch norm's."""
         return [p for layer, bn, _ in self._blocks()
                 for part in (layer, bn) if part is not None for p in part.parameters()]
 
-    def _batch_norms(self) -> list[BatchNorm1d]:
-        return [bn for _, bn, _ in self._blocks() if bn is not None]
-
     def state_arrays(self) -> dict[str, np.ndarray]:
         """The parameter values, then every batch norm's running statistics, by name."""
         arrays = {p.name: p.value for p in self.parameters()}
-        for bn in self._batch_norms():
+        for bn in [bn for _, bn, _ in self._blocks() if bn is not None]:
             arrays.update(bn.state_arrays())
         return arrays
 
     def freeze(self):
-        """Make every parameter value and running statistic immutable
-        (:func:`~fld.numerics.layers.immutable`), in place, and return the
-        model, which is then inference-only."""
+        """Fold every batch norm into the layer before it (:func:`fold_batch_norm`),
+        then make each parameter's value and gradient immutable
+        (:func:`~fld.numerics.layers.immutable`), in place; return the model.
+        It holds no batch norm, and its eval outputs equal the unfrozen ones
+        to rounding (about 1e-15 relative). It is forward-only: a backward
+        raises "read-only" at its first gradient update, before any
+        accumulates, and so does an optimizer step. ``state_arrays`` then
+        returns the folded arrays. Every inference entry point in ``fld``
+        runs a frozen model."""
+        for network in self._networks():
+            network[:] = [fold_batch_norm(block) for block in network]
         for p in self.parameters():
-            p.value = immutable(p.value)
-        for bn in self._batch_norms():
-            bn.running_mean, bn.running_var = immutable(bn.running_mean), immutable(bn.running_var)
+            p.value, p.grad = immutable(p.value), immutable(p.grad)
         return self
 
 
@@ -231,14 +237,15 @@ class FLDModel(BlockModel):
     """Encoder, FFT parameterization, sinusoidal latent reconstruction and
     decoder. PAE is this model trained with horizon 0.
 
-    ``encoder`` and ``decoder`` are block lists (see :func:`blocks_forward`)
-    of three Conv1d -> BatchNorm1d -> ELU blocks each, named
-    ``enc.conv{i}``/``enc.bn{i}`` and ``dec.conv{i}``/``dec.bn{i}``; these
-    convs feed batch norm and carry no bias. The decoder's output block
-    ``dec.conv2`` is a bare conv with bias, unless ``final_activation``
-    makes it a full block. The phase head (``phase.linear``, ``phase.bn``)
-    sits between them. Parameters, and so the checkpoint array directory,
-    come in that order: encoder, phase head, decoder.
+    ``encoder``, ``phase_head`` and ``decoder`` are block lists (see
+    :func:`blocks_forward`). The encoder and decoder hold three Conv1d ->
+    BatchNorm1d -> ELU blocks each, named ``enc.conv{i}``/``enc.bn{i}`` and
+    ``dec.conv{i}``/``dec.bn{i}``; these convs carry no bias. The decoder's
+    output block ``dec.conv2`` is a bare conv with bias, unless
+    ``final_activation`` makes it a full block. The phase head is one
+    PerChannelLinear -> BatchNorm1d block without ELU (``phase.linear``,
+    ``phase.bn``). Parameters, and so the checkpoint array directory, come
+    in that order: encoder, phase head, decoder.
     """
 
     def __init__(self, config: FLDConfig, rng: np.random.Generator):
@@ -252,32 +259,14 @@ class FLDModel(BlockModel):
 
         self.encoder = [block("enc", 0, d, hid), block("enc", 1, hid, hid),
                         block("enc", 2, hid, c)]
-        self.phase_linear = PerChannelLinear(c, h, 2, rng, "phase.linear")
-        self.phase_bn = BatchNorm1d(2 * c, "phase.bn")
+        self.phase_head = [(PerChannelLinear(c, h, 2, rng, "phase.linear"),
+                            BatchNorm1d(2 * c, "phase.bn"), False)]
         self.decoder = [block("dec", 0, c, hid), block("dec", 1, hid, hid),
                         block("dec", 2, hid, d) if config.final_activation
                         else (Conv1d(hid, d, k, rng, "dec.conv2"), None, False)]
 
-    # -- bookkeeping ---------------------------------------------------
-
-    def _blocks(self) -> list:
-        # the phase head reshapes between its linear and its batch norm, so
-        # it runs in phase(); as a block it serves the BlockModel walks only
-        return [*self.encoder, (self.phase_linear, self.phase_bn, False), *self.decoder]
-
-    def freeze(self) -> "FLDModel":
-        """Fold each encoder and decoder batch norm into its conv
-        (:func:`fold_batch_norm`), then freeze (:meth:`BlockModel.freeze`).
-        Eval outputs equal the unfrozen model's to rounding (about 1e-15
-        relative), not bitwise. Every inference entry point in ``fld`` runs
-        the frozen model, which is forward-only: a train-mode analysis
-        raises, since the phase head's batch norm, the one left, cannot
-        update its running statistics; so do eval gradients
-        (:meth:`propagation_loss`) and every optimizer step. ``state_arrays``
-        then returns the folded arrays, not the checkpoint directory."""
-        self.encoder = [fold_batch_norm(block) for block in self.encoder]
-        self.decoder = [fold_batch_norm(block) for block in self.decoder]
-        return super().freeze()
+    def _networks(self) -> tuple[list, ...]:
+        return self.encoder, self.phase_head, self.decoder
 
     # -- encoder / decoder ----------------------------------------------
 
@@ -302,21 +291,17 @@ class FLDModel(BlockModel):
     # -- parameterization -------------------------------------------------
 
     def phase(self, z: np.ndarray, mode: str = "eval") -> tuple[np.ndarray, dict]:
-        """Learned phase head: per-channel linear to a 2D shift, batch norm,
-        then the two-argument phase in cycles."""
-        out, c_lin = self.phase_linear.forward(z)
-        batch, c, _ = out.shape
-        normed, c_bn = self.phase_bn.forward(out.reshape(batch, 2 * c).T[None], mode)
-        normed = normed[0].T.reshape(batch, c, 2)
-        phi, c_at = atan2_phase(normed[..., 1], normed[..., 0])
-        return phi, {"lin": c_lin, "bn": c_bn, "at": c_at, "shape": (batch, c)}
+        """Learned phase head: the ``phase_head`` block's 2D shift (sx, sy)
+        per channel, then the two-argument phase in cycles."""
+        shift, caches = blocks_forward(self.phase_head, z.T, mode)
+        shift = shift.reshape(self.config.channels, 2, -1)  # (c, (sx, sy), B)
+        phi, c_at = atan2_phase(shift[:, 1].T, shift[:, 0].T)
+        return phi, {"blocks": caches, "at": c_at}
 
     def phase_backward(self, grad_phi: np.ndarray, cache: dict) -> np.ndarray:
-        batch, c = cache["shape"]
         dsy, dsx = atan2_phase_backward(grad_phi, cache["at"])
-        g = np.stack([dsx, dsy], axis=-1).reshape(batch, 2 * c)
-        g = self.phase_bn.backward(g.T[None], cache["bn"])[0].T.reshape(batch, c, 2)
-        return self.phase_linear.backward(g, cache["lin"])
+        g = np.stack([dsx.T, dsy.T], axis=1).reshape(1, -1, len(grad_phi))
+        return blocks_backward(self.phase_head, g, cache["blocks"]).T
 
     def spectrum_params(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
         """Frequency (Hz), amplitude and offset per latent channel.
@@ -539,8 +524,8 @@ class FFBaseline(BlockModel):
         n = config.dims * config.window
         self.blocks = mlp_blocks([n, *config.hidden, n], rng, "ff.lin")
 
-    def _blocks(self) -> list:
-        return self.blocks
+    def _networks(self) -> tuple[list, ...]:
+        return (self.blocks,)
 
     def forward(self, segments: np.ndarray) -> tuple[np.ndarray, list]:
         x = np.asarray(segments, dtype=np.float64)

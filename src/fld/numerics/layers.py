@@ -4,11 +4,11 @@ All arrays are float64. The conv networks carry their activations
 time-major, as (L, C, B) arrays: the channel axis is axis 1 as in the
 segment-first (B, C, L) layout, and the batch is the contiguous inner axis,
 so each product of a convolution runs over all segments at once. Batch
-norm takes that layout only, a (B, C) batch as the (1, C, B) view
-``x.T[None]``, and has a fixed eps and momentum. Layers are stateless
-between calls except for their parameters (and batch-norm running
-statistics, which only a train-mode forward mutates, and the kernel blocks
-a convolution derives from immutable weights): ``forward`` returns
+norm takes that layout only, a (B, C) batch as the (1, C, B) that
+:class:`PerChannelLinear` writes, with a fixed eps and momentum. Layers are
+stateless between calls except for their parameters (and batch-norm running
+statistics, which only a train-mode forward mutates, and the kernel blocks a
+convolution derives from immutable weights): ``forward`` returns
 ``(output, cache)`` and ``backward`` accumulates parameter gradients and
 returns the input gradient. A cache feeds exactly one backward and is
 consumed by it: a convolution removes its input spectrum from the cache
@@ -25,8 +25,8 @@ x_hat and its std only, and its backward recomputes ELU's derivative from
 them. Eval batch norm is one per-channel scale and shift. :func:`elu`, which
 caches its output, serves the blocks without batch norm: frozen models'
 folded blocks and the feed-forward baseline. A convolution is three real
-matrix products against cached DFT matrices, and keeps kernel blocks only
-for immutable weights (see :class:`Conv1d` and :func:`immutable`).
+matrix products against cached DFT matrices; its kernel blocks stay out of
+its cache, and on the layer for immutable weights only (see :class:`Conv1d`).
 """
 
 from __future__ import annotations
@@ -92,7 +92,8 @@ class Conv1d:
     before dx. dW's lags come from the bin blocks' gradient through the
     kernel matrix; that is the input spectrum's last use, so the spectrum
     leaves the cache and is released there, before dx's spectrum is built
-    in its place. The bin blocks are kept on the layer only for immutable
+    in its place. Both passes take the bin blocks from :meth:`_kernel_blocks`,
+    not from the cache, which keeps them on the layer only for immutable
     weights (an array over ``bytes``, see :func:`immutable`), while the
     weight is the very array they were built from. This must match the
     naive sliding dot product to 1e-12 and the test suite holds it to that.
@@ -152,13 +153,13 @@ class Conv1d:
         if self.bias is not None:
             y += self.bias.value[:, None]
         ensure_finite(y, "conv1d output")
-        return y, {"x_spec": x_spec, "blocks": blocks, "length": length}
+        return y, {"x_spec": x_spec, "length": length}
 
     def backward(self, g: np.ndarray, cache: dict) -> np.ndarray:
         if "x_spec" not in cache:
             raise ValueError(f"{self.name}: backward cache already consumed; "
                              "a cache feeds one backward")
-        blocks, length = cache["blocks"], cache["length"]
+        length = cache["length"]
         forward_dft, inverse_dft, kernel = dft_matrices(length, self.kernel_size)
         bins, _, batch = cache["x_spec"].shape
 
@@ -171,7 +172,7 @@ class Conv1d:
         self._weight_backward(cache.pop("x_spec"), g_spec, kernel)
 
         # dx: the forward's first two products transposed, last first
-        dx_spec = np.matmul(blocks, g_spec)
+        dx_spec = np.matmul(self._kernel_blocks(length), g_spec)
         del g_spec
         return (forward_dft.T @ dx_spec.reshape(2 * bins, -1)).reshape(length, -1, batch)
 
@@ -379,31 +380,40 @@ class Linear:
 
 
 class PerChannelLinear:
-    """Independent linear map per channel, no bias: (B, C, H) -> (B, C, O)."""
+    """Independent linear map per channel, time-major (H, C, B) to batch
+    norm's (1, C O, B): y[0, c O + o] = sum_h x[h, c] w[c, o, h], with the
+    weight (C, O, H). No bias, until a batch-norm fold sets one."""
 
     def __init__(self, channels: int, in_features: int, out_features: int,
                  rng: np.random.Generator, name: str):
+        self.name = name
         self.channels = channels
         self.in_features = in_features
         self.out_features = out_features
         self.weight = Parameter(f"{name}.weight",
                                 _uniform_init(rng, (channels, out_features, in_features), in_features))
+        self.bias: Parameter | None = None
 
     def parameters(self) -> list[Parameter]:
-        return [self.weight]
+        return [self.weight] + ([self.bias] if self.bias is not None else [])
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, dict]:
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 3 or x.shape[1] != self.channels or x.shape[2] != self.in_features:
+        if x.ndim != 3 or x.shape[:2] != (self.in_features, self.channels):
             raise ValueError(
-                f"expected input (batch, {self.channels}, {self.in_features}), got {x.shape}")
-        y = np.einsum("bch,coh->bco", x, self.weight.value)
+                f"expected input ({self.in_features}, {self.channels}, batch), got {x.shape}")
+        y = np.einsum("hcb,coh->cob", x, self.weight.value).reshape(1, -1, x.shape[2])
+        if self.bias is not None:
+            y += self.bias.value[:, None]
         ensure_finite(y, "per-channel linear output")
         return y, {"x": x}
 
     def backward(self, g: np.ndarray, cache: dict) -> np.ndarray:
-        self.weight.grad += np.einsum("bco,bch->coh", g, cache["x"])
-        return np.einsum("bco,coh->bch", g, self.weight.value)
+        if self.bias is not None:
+            self.bias.grad += g.sum(axis=(0, 2))
+        g = g.reshape(self.channels, self.out_features, -1)
+        self.weight.grad += np.einsum("cob,hcb->coh", g, cache["x"])
+        return np.einsum("cob,coh->hcb", g, self.weight.value)
 
 
 def elu(x: np.ndarray) -> tuple[np.ndarray, dict]:

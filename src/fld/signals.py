@@ -110,6 +110,11 @@ class NormalizationStats:
         if not np.all(self.std > 0):
             raise ValueError("normalization std must be positive")
 
+    def check_dims(self, dims: int) -> None:
+        """Raise ValueError unless these statistics are of a model config's ``dims``."""
+        if self.mean.shape != (dims,):
+            raise ValueError(f"normalization has {self.mean.size} dims, model config {dims}")
+
     def apply(self, frames: np.ndarray) -> np.ndarray:
         return (np.asarray(frames, dtype=np.float64) - self.mean) / self.std
 

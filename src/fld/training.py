@@ -73,7 +73,8 @@ def train(model_kind: str, corpus: list[Trajectory], train_config: TrainConfig,
     ``train_loss`` reports ("per_horizon" for fld and pae, none for ff).
     Every trajectory must have the model config's dims and dt
     (:func:`~fld.signals.check_corpus`); without a config, the first
-    trajectory's.
+    trajectory's; a given ``normalization`` must have its dims, checked
+    before the first step (:meth:`~fld.signals.NormalizationStats.check_dims`).
     """
     if not corpus:
         raise ValueError("empty corpus")
@@ -89,6 +90,7 @@ def train(model_kind: str, corpus: list[Trajectory], train_config: TrainConfig,
 
     rng = np.random.default_rng(train_config.seed)
     stats = normalization if normalization is not None else fit_normalization(corpus)
+    stats.check_dims(model_config.dims)
     frames = [stats.apply(t.frames) for t in corpus]
     model = model_cls(model_config, rng)
     pool = ItemPool(frames, model_config.window, model.item_horizon)

@@ -169,11 +169,10 @@ def test_frozen_model_agrees_with_build_model(final_activation):
 def test_frozen_model_folds_batch_norm_into_the_convs(final_activation):
     frozen = build_fld_model(moved_checkpoint(final_activation), "a test")
     names = set(frozen.state_arrays())
-    assert {n for n in names if ".bn" in n} == {
-        "phase.bn.gamma", "phase.bn.beta", "phase.bn.running_mean", "phase.bn.running_var"}
-    assert all(bn is None for _, bn, _ in frozen.encoder + frozen.decoder)
-    convs = [f"enc.conv{i}" for i in range(3)] + [f"dec.conv{i}" for i in range(3)]
-    assert {f"{c}.bias" for c in convs} <= names
+    assert not {n for n in names if ".bn" in n}
+    assert all(bn is None for _, bn, _ in frozen.encoder + frozen.phase_head + frozen.decoder)
+    layers = [f"enc.conv{i}" for i in range(3)] + ["phase.linear"] + [f"dec.conv{i}" for i in range(3)]
+    assert {f"{c}.bias" for c in layers} <= names
 
 
 def test_frozen_model_is_immutable_and_refuses_training():
@@ -181,9 +180,9 @@ def test_frozen_model_is_immutable_and_refuses_training():
     for name, arr in frozen.state_arrays().items():
         assert isinstance(arr.base, bytes) and not arr.flags.writeable, name
     items = np.random.default_rng(8).normal(size=(3, 3, 3, 9))
-    # the phase head cannot move its running statistics
+    # no gradient can accumulate
     with pytest.raises(ValueError, match="read-only"):
-        frozen.analyze(items[:, 0], mode="train")
+        frozen.loss_and_grads(items, mode="train")
     # eval mode is forward-only, and no optimizer can move the weights
     with pytest.raises(ValueError, match="forward-only"):
         frozen.loss_and_grads(items, mode="eval")

@@ -14,7 +14,7 @@ from fld.model import (
     fold_batch_norm,
     wrap_phase,
 )
-from fld.numerics import Adam, BatchNorm1d, Conv1d, elu_backward, layers
+from fld.numerics import Adam, BatchNorm1d, Conv1d, PerChannelLinear, elu_backward, layers
 from fourier_oracles import naive_dft
 from gradcheck import gradient_check
 
@@ -146,20 +146,40 @@ class TestEncodeDecode:
         assert s.shape == (1, 4, 16)
 
 
-@pytest.mark.parametrize("bias", [False, True])
-def test_fold_batch_norm_matches_the_eval_block(bias):
+@pytest.mark.parametrize("layer", ["conv", "biased-conv", "phase-head"])
+def test_fold_batch_norm_matches_the_eval_block(layer):
     rng = np.random.default_rng(10)
-    conv = Conv1d(3, 4, 5, rng, "c", bias=bias)
+    if layer == "phase-head":  # 2 channels to 2 features each, not activated
+        first, activated = PerChannelLinear(2, 9, 2, rng, "c"), False
+    else:
+        first, activated = Conv1d(3, 4, 5, rng, "c", bias=layer == "biased-conv"), True
     bn = BatchNorm1d(4, "bn")
     bn.forward(rng.normal(loc=0.7, scale=2.0, size=(9, 4, 6)), "train")
     bn.gamma.value[...] = rng.uniform(0.5, 2.0, 4)
     bn.beta.value[...] = rng.normal(size=4)
-    x = rng.normal(size=(9, 3, 2))  # time-major (L, C, B)
-    want, _ = blocks_forward([(conv, bn, True)], x)
-    folded = fold_batch_norm((conv, bn, True))
-    assert folded[0] is conv and folded[1:] == (None, True) and conv.bias.name == "c.bias"
+    x = rng.normal(size=(9, 2 if layer == "phase-head" else 3, 2))  # time-major (L, C, B)
+    want, _ = blocks_forward([(first, bn, activated)], x)
+    folded = fold_batch_norm((first, bn, activated))
+    assert folded[0] is first and folded[1:] == (None, activated) and first.bias.name == "c.bias"
     got, _ = blocks_forward([folded], x)
     assert np.max(np.abs(got - want)) < 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("kind", ["fld", "fld-final-activation", "ff"])
+def test_frozen_model_holds_no_batch_norm_and_no_backward_accumulates(kind):
+    rng = np.random.default_rng(16)
+    if kind == "ff":
+        model = FFBaseline(FFConfig(dims=4, window=16, hidden=(8,)), rng)
+        items = rng.normal(size=(3, 2, 4, 16))
+    else:
+        model = tiny_model(final_activation=kind == "fld-final-activation")
+        items = rng.normal(size=(3, 4, 4, 16))
+    model.freeze()
+    assert not any(isinstance(part, BatchNorm1d) for block in model._blocks() for part in block)
+    # a train-mode forward runs, as no batch norm is left; its backward does not
+    with pytest.raises(ValueError, match="read-only"):
+        model.train_loss(items)
+    assert not any(p.grad.any() for p in model.parameters())
 
 
 def consumption_order(blocks, caches):
@@ -252,7 +272,7 @@ def test_train_render_caches_x_hat_and_spectra_but_no_activation(final_activatio
     want = (2 * h * cfg.channels * segments + cfg.channels * batch + steps * h) * f8
     for conv, bn, _ in model.decoder:
         i, o = conv.in_channels, conv.out_channels
-        want += (bins * 2 * i * segments + bins * 2 * i * 2 * o) * f8  # spectrum, kernel blocks
+        want += bins * 2 * i * segments * f8  # spectrum; the kernel blocks are rebuilt
         if bn is not None:
             want += (h * o * segments + o) * f8  # x_hat and std; no ELU output
     assert cache_nbytes(cache) == want

@@ -12,6 +12,7 @@ from fld.numerics import (
     BatchNorm1d,
     Conv1d,
     Linear,
+    Parameter,
     PerChannelLinear,
     atan2_phase,
     atan2_phase_backward,
@@ -23,6 +24,7 @@ from fld.numerics import (
 from fld.numerics import layers
 from fld.numerics.fourier import dft_matrices
 from fld.numerics.layers import BN_EPS
+from gradcheck import gradient_check
 
 
 def conv_oracle(x, w, b):
@@ -517,19 +519,34 @@ class TestPerChannelLinear:
     def test_matches_per_channel_matmul(self):
         rng = np.random.default_rng(2)
         pcl = PerChannelLinear(3, 5, 2, rng, "phase")
-        x = rng.normal(size=(4, 3, 5))
+        x = rng.normal(size=(5, 3, 4))  # time-major (H, C, B)
         y, cache = pcl.forward(x)
+        assert y.shape == (1, 6, 4)  # batch norm's (1, C O, B), channel c O + o
         for c in range(3):
-            expected = x[:, c] @ pcl.weight.value[c].T
-            assert np.allclose(y[:, c], expected)
-        g = rng.normal(size=(4, 3, 2))
+            expected = x[:, c].T @ pcl.weight.value[c].T  # (B, O)
+            assert np.allclose(y[0, 2 * c:2 * c + 2].T, expected)
+        g = rng.normal(size=(1, 6, 4))
         dx = pcl.backward(g, cache)
+        assert dx.shape == x.shape
         eps = 1e-6
         for i in rng.choice(x.size, size=8, replace=False):
             xp = x.copy(); xp.reshape(-1)[i] += eps
             xm = x.copy(); xm.reshape(-1)[i] -= eps
             numeric = (np.sum(pcl.forward(xp)[0] * g) - np.sum(pcl.forward(xm)[0] * g)) / (2 * eps)
             assert abs(dx.reshape(-1)[i] - numeric) < 1e-6
+
+    def test_parameter_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(3)
+        pcl = PerChannelLinear(3, 5, 2, rng, "phase")
+        pcl.bias = Parameter("phase.bias", rng.normal(size=6))  # as a batch-norm fold sets it
+        x, g = rng.normal(size=(5, 3, 4)), rng.normal(size=(1, 6, 4))
+
+        def loss():
+            y, cache = pcl.forward(x)
+            pcl.backward(g, cache)
+            return float(np.sum(y * g))
+
+        assert gradient_check(loss, pcl.parameters()) < 1e-6
 
 
 class TestActivations:

@@ -4,8 +4,14 @@ import numpy as np
 import pytest
 
 from fld.checkpoint import build_model
-from fld.model import BlockModel, FFConfig, FLDConfig, FLDModel
-from fld.signals import SyntheticMotionSpec, Trajectory, generate_synthetic, segment_view
+from fld.model import BlockModel, FFBaseline, FFConfig, FLDConfig, FLDModel
+from fld.signals import (
+    NormalizationStats,
+    SyntheticMotionSpec,
+    Trajectory,
+    generate_synthetic,
+    segment_view,
+)
 from fld.training import (
     TrainConfig,
     evaluate_prediction,
@@ -115,6 +121,21 @@ class TestTrain:
                 with pytest.raises(ValueError, match=re.escape(
                         f"model config dims 3, dt 0.02 != corpus {mismatch} of trajectory 1")):
                     train(kind, bad, tiny_train_config(), config)
+
+    @pytest.mark.parametrize("kind", ["fld", "ff"])
+    def test_normalization_of_other_dims_rejected_before_the_first_step(self, kind, monkeypatch):
+        steps = []
+
+        def counted_step(model, items):
+            steps.append(items)
+            return 0.0, {}
+
+        for cls in (FLDModel, FFBaseline):
+            monkeypatch.setattr(cls, "train_loss", counted_step)
+        with pytest.raises(ValueError, match="^normalization has 1 dims, model config 3$"):
+            train(kind, tiny_corpus(1), tiny_train_config(iters=5), None,
+                  NormalizationStats(np.zeros(1), np.ones(1)))
+        assert steps == []
 
     def test_model_config_dt_must_match_the_corpus(self):
         with pytest.raises(ValueError, match=r"dt 0\.05 != corpus dims 3, dt 0\.02"):
