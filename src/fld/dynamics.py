@@ -5,9 +5,9 @@ Encoding, decoding and scoring go through ``FLDModel.analyze``,
 ``FLDModel.render`` and ``FLDModel.propagation_loss``, as training does.
 The gate, calibration and synthesis run the frozen model that
 ``build_fld_model`` returns, as every inference entry point in ``fld``
-does: every batch norm, the phase head's too, folded into the layer before
-it, so the model holds none; the weights and gradients immutable; and
-forward-only eval mode, which takes no gradient.
+does: every batch norm folded into the layer before it, and the weights
+and gradients immutable. No call takes a mode: the model's state selects
+its forward pass, and on an unfrozen model these calls train batch norm.
 
 The gate consumes a stream of frames through a window of the newest H+N
 frames, which holds the N+1 segments of one item (an anchor segment and
@@ -32,7 +32,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .checkpoint import ModelCheckpoint, build_fld_model
-from .model import FLDModel, wrap_phase
+from .model import FLDModel, as_int, wrap_phase
 from .signals import ItemPool, Trajectory, segment_view
 from .stats import quantile_midpoint
 
@@ -48,10 +48,12 @@ class LatentRollState:
     step: int = 0
 
     def __post_init__(self):
-        self.phi = wrap_phase(np.asarray(self.phi, dtype=np.float64))
-        self.freq = np.asarray(self.freq, dtype=np.float64)
-        self.amp = np.asarray(self.amp, dtype=np.float64)
-        self.offset = np.asarray(self.offset, dtype=np.float64)
+        self.phi = wrap_phase(self.phi)
+        self.freq, self.amp, self.offset = (np.asarray(a, dtype=np.float64)
+                                            for a in (self.freq, self.amp, self.offset))
+        shapes = [a.shape for a in (self.phi, self.freq, self.amp, self.offset)]
+        if len(set(shapes)) != 1 or self.phi.ndim != 1:
+            raise ValueError(f"phi, freq, amp and offset must be 1-D of one shape, got {shapes}")
 
 
 def propagate(state: LatentRollState, dt: float) -> LatentRollState:
@@ -85,10 +87,9 @@ def synthesize(checkpoint: ModelCheckpoint, state: LatentRollState,
     rendered as one batch of step offsets 0..steps-1. Per-step decoding
     agrees to rounding (about 1e-15), not bitwise: the phase is not wrapped
     between steps, and batches of different sizes take different BLAS
-    kernels.
+    kernels. ``steps`` is an integer >= 1.
     """
-    if steps <= 0:
-        raise ValueError("steps must be positive")
+    steps = as_int("steps", steps, 1)
     model = build_fld_model(checkpoint, "synthesis")
     shat, _ = model.render(state.phi, state.freq, state.amp, state.offset, np.arange(steps))
     frames = checkpoint.normalization.invert(shat[0, :, :, -1])
@@ -103,8 +104,7 @@ def interpolate_theta(src: LatentRollState, dst: LatentRollState, steps: int,
     source and advances by the blended frequency at each step, so the
     transition stays temporally coherent.
     """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
+    steps = as_int("steps", steps, 1)
     if src.freq.shape != dst.freq.shape:
         raise ValueError("parameterizations have different channel counts")
     out = []
@@ -148,11 +148,13 @@ class GateDecision:
 
 def anchored_gate_loss(model: FLDModel, segments: np.ndarray,
                        anchor: tuple | None = None) -> float:
-    """Eval-mode training loss of the stack (N+1, d, H) anchored at its
-    earliest segment, whose (phi, f, a, b) ``anchor`` gives if it is
-    already analysed."""
-    analysis = model.analyze(segments[:1]) if anchor is None else anchor
-    return model.propagation_loss(analysis, segments[None])[0]
+    """Training loss of the stack (N+1, d, H) anchored at its earliest
+    segment, whose (phi, f, a, b) ``anchor`` gives if it is already
+    analysed. Without ``anchor`` it is ``loss_and_grads`` in eval mode, which
+    scores an unfrozen model's frozen copy."""
+    if anchor is None:
+        return model.loss_and_grads(segments[None], mode="eval", want_grads=False)[0]
+    return model.propagation_loss(anchor, segments[None])[0]
 
 
 def calibrate_threshold(checkpoint: ModelCheckpoint, corpus: list[Trajectory],

@@ -9,6 +9,9 @@ returns (loss, extras).
 
 Conventions
 -----------
+* A model's state selects its forward pass, and no call takes a mode: an
+  unfrozen model trains its batch norms, and a frozen one
+  (:meth:`BlockModel.freeze`) has them folded away and infers.
 * A segment is (d, H) with columns oldest to newest; batches are (B, d, H).
   The encoder and decoder run time-major, on (H, C, B), the transpose
   ``.T`` of a segment batch: ``encode``, ``decode`` and their backwards take
@@ -27,6 +30,7 @@ Conventions
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -54,29 +58,27 @@ def wrap_phase(phi: np.ndarray) -> np.ndarray:
     return np.mod(np.asarray(phi, dtype=np.float64) + 0.5, 1.0) - 0.5
 
 
-# Every network here is a list of blocks (layer, batch norm or None,
-# activated), and every activation is ELU. An activated block with batch
-# norm applies it inside batch norm; the others call this module's ``elu``
-# and ``elu_backward`` globals when they run, never a stored reference, so
-# a call runs the function bound at that time (the traced benchmark swaps
-# in wrappers).
+# Every network here is a list of (layer, batch norm or None, activated)
+# blocks, and every activation is ELU. Blocks without batch norm call this
+# module's ``elu`` and ``elu_backward`` globals when they run, never a stored
+# reference (the traced benchmark swaps in wrappers).
 
 
-def blocks_forward(blocks: list, x: np.ndarray, mode: str = "eval"
-                   ) -> tuple[np.ndarray, list]:
-    """Run each block's layer, then its batch norm if any, then ELU if
-    activated. Batch norm in an activated block applies ELU itself, in the
-    same slab sweep (:meth:`~fld.numerics.layers.BatchNorm1d.forward`), so
-    :func:`elu` runs only in activated blocks without batch norm: a frozen
-    model's folded blocks and the MLP. Returns (output, one (layer cache,
-    batch-norm or activation cache) pair per block). A train-mode conv block
-    caches the conv's input spectrum and batch norm's x_hat and std only."""
+def blocks_forward(blocks: list, x: np.ndarray) -> tuple[np.ndarray, list]:
+    """Run each block's layer, then its batch norm if any (which trains, and
+    only an unfrozen model has), then ELU if activated. Batch norm in an
+    activated block applies ELU itself, in the same slab sweep
+    (:meth:`~fld.numerics.layers.BatchNorm1d.forward`), so :func:`elu` runs
+    only in activated blocks without batch norm: a frozen model's folded
+    blocks and the MLP. Returns (output, one (layer cache, batch-norm or
+    activation cache) pair per block). A block with batch norm caches the
+    layer's input (spectrum) and batch norm's x_hat and std only."""
     caches = []
     for layer, bn, activated in blocks:
         x, c_layer = layer.forward(x)
         c_post = None
         if bn is not None:
-            x, c_post = bn.forward(x, mode, activated)
+            x, c_post = bn.forward(x, activated)
         elif activated:
             x, c_post = elu(x)
         caches.append((c_layer, c_post))
@@ -108,9 +110,10 @@ def blocks_backward(blocks: list, g: np.ndarray, caches: list) -> np.ndarray:
 def fold_batch_norm(block: tuple) -> tuple:
     """A (layer, batch norm, activated) block as (layer with bias, None,
     activated): each row of ``weight.reshape(len(s), -1)``, one per output
-    channel of a conv or the phase head, scaled by batch norm's eval scale s,
-    and the bias (0 if none) times s plus the eval shift. Agrees with the
-    eval block to rounding, not bitwise. Returns a block without batch norm as it is."""
+    channel of a conv or the phase head, scaled by the scale s of batch norm's
+    running statistics, and the bias (0 if none) times s plus their shift
+    (``eval_affine``). Agrees with the unfolded block to rounding, not bitwise.
+    Returns a block without batch norm as it is."""
     layer, bn, activated = block
     if bn is None:
         return block
@@ -137,6 +140,11 @@ class BlockModel:
     hold all its parameters, in checkpoint order; its parameter list, state
     arrays and freezing follow from them."""
 
+    @property
+    def frozen(self) -> bool:
+        """Whether :meth:`freeze` has run: the weights are read-only."""
+        return not any(p.value.flags.writeable for p in self.parameters())
+
     def _blocks(self) -> list:
         return [block for network in self._networks() for block in network]
 
@@ -156,12 +164,10 @@ class BlockModel:
         """Fold every batch norm into the layer before it (:func:`fold_batch_norm`),
         then make each parameter's value and gradient immutable
         (:func:`~fld.numerics.layers.immutable`), in place; return the model.
-        It holds no batch norm, and its eval outputs equal the unfrozen ones
-        to rounding (about 1e-15 relative). It is forward-only: a backward
-        raises "read-only" at its first gradient update, before any
-        accumulates, and so does an optimizer step. ``state_arrays`` then
-        returns the folded arrays. Every inference entry point in ``fld``
-        runs a frozen model."""
+        Its outputs equal the unfolded blocks' to rounding (about 1e-15
+        relative). A backward raises "read-only" at its first gradient
+        update, before any accumulates, and so does an optimizer step.
+        Every inference entry point in ``fld`` runs a frozen model."""
         for network in self._networks():
             network[:] = [fold_batch_norm(block) for block in network]
         for p in self.parameters():
@@ -184,15 +190,15 @@ class ConfigDict:
     def check(self, sizes: tuple[str, ...]) -> None:
         """Raise ValueError unless each ``sizes`` field, or each entry of a
         tuple of widths, is an integer at or above its floor (window 2,
-        horizon 0, any other 1), and dt > 0. Stores the sizes as plain ints."""
+        horizon 0, any other 1), and 0 < dt < inf. Stores the sizes as plain ints."""
         for name in sizes:
             value, floor = getattr(self, name), {"window": 2, "horizon": 0}.get(name, 1)
             if isinstance(value, (tuple, list)):
                 setattr(self, name, tuple(as_int(name, v, floor) for v in value))
             else:
                 setattr(self, name, as_int(name, value, floor))
-        if not self.dt > 0:  # NaN fails too
-            raise ValueError("dt must be positive")
+        if not 0 < self.dt < np.inf:  # NaN fails too
+            raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
 
     def to_dict(self) -> dict:
         return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
@@ -270,19 +276,19 @@ class FLDModel(BlockModel):
 
     # -- encoder / decoder ----------------------------------------------
 
-    def encode(self, segments: np.ndarray, mode: str = "eval") -> tuple[np.ndarray, list]:
+    def encode(self, segments: np.ndarray) -> tuple[np.ndarray, list]:
         x = np.asarray(segments, dtype=np.float64)
         if x.shape[1:] != (self.config.dims, self.config.window):
             raise ValueError(f"expected segments (batch, {self.config.dims}, "
                              f"{self.config.window}), got {x.shape}")
-        z, caches = blocks_forward(self.encoder, x.T, mode)
+        z, caches = blocks_forward(self.encoder, x.T)
         return z.T, caches
 
     def encode_backward(self, grad_z: np.ndarray, caches: list) -> np.ndarray:
         return blocks_backward(self.encoder, grad_z.T, caches).T
 
-    def decode(self, latent: np.ndarray, mode: str = "eval") -> tuple[np.ndarray, list]:
-        shat, caches = blocks_forward(self.decoder, latent.T, mode)
+    def decode(self, latent: np.ndarray) -> tuple[np.ndarray, list]:
+        shat, caches = blocks_forward(self.decoder, latent.T)
         return shat.T, caches
 
     def decode_backward(self, grad_out: np.ndarray, caches: list) -> np.ndarray:
@@ -290,10 +296,10 @@ class FLDModel(BlockModel):
 
     # -- parameterization -------------------------------------------------
 
-    def phase(self, z: np.ndarray, mode: str = "eval") -> tuple[np.ndarray, dict]:
+    def phase(self, z: np.ndarray) -> tuple[np.ndarray, dict]:
         """Learned phase head: the ``phase_head`` block's 2D shift (sx, sy)
         per channel, then the two-argument phase in cycles."""
-        shift, caches = blocks_forward(self.phase_head, z.T, mode)
+        shift, caches = blocks_forward(self.phase_head, z.T)
         shift = shift.reshape(self.config.channels, 2, -1)  # (c, (sx, sy), B)
         phi, c_at = atan2_phase(shift[:, 1].T, shift[:, 0].T)
         return phi, {"blocks": caches, "at": c_at}
@@ -343,10 +349,10 @@ class FLDModel(BlockModel):
         d_re[..., 0] = grad_b / h
         return rfft_backward(d_re, d_im, h)
 
-    def parameterize(self, z: np.ndarray, mode: str = "eval"
+    def parameterize(self, z: np.ndarray
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, dict]:
         """(phi, f, a, b) of a latent segment batch."""
-        phi, phase_cache = self.phase(z, mode)
+        phi, phase_cache = self.phase(z)
         freq, amp, offset, spec_cache = self.spectrum_params(z)
         return phi, freq, amp, offset, {"phase": phase_cache, "spec": spec_cache}
 
@@ -402,31 +408,34 @@ class FLDModel(BlockModel):
 
     # -- analysis / synthesis maps ------------------------------------------
 
-    def analyze(self, segments: np.ndarray, mode: str = "eval"
+    def analyze(self, segments: np.ndarray
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, tuple]:
         """Segments (B, d, H) to their parameterization:
-        (phi, f, a, b, (encode cache, parameterize cache, mode)), each (B, c)."""
-        z, enc_cache = self.encode(segments, mode)
-        phi, freq, amp, offset, par_cache = self.parameterize(z, mode)
-        return phi, freq, amp, offset, (enc_cache, par_cache, mode)
+        (phi, f, a, b, (encode cache, parameterize cache)), each (B, c). On an
+        unfrozen model this is a training forward, which moves the running
+        statistics of every batch norm."""
+        z, enc_cache = self.encode(segments)
+        phi, freq, amp, offset, par_cache = self.parameterize(z)
+        return phi, freq, amp, offset, (enc_cache, par_cache)
 
     def render(self, phi: np.ndarray, freq: np.ndarray, amp: np.ndarray,
-               offset: np.ndarray, steps: np.ndarray | list[int], mode: str = "eval"
+               offset: np.ndarray, steps: np.ndarray | list[int]
                ) -> tuple[np.ndarray, tuple]:
         """Decoded segments of a parameterization advanced by each step i in
         ``steps``: (shat (B, n_steps, d, H), (reconstruct cache, decode cache)).
         Accepts one (c,) parameterization as a batch of one."""
         zhat, rec_cache = self.reconstruct_latent(phi, freq, amp, offset, steps)
         batch, n_steps, c, h = zhat.shape
-        shat, dec_cache = self.decode(zhat.reshape(batch * n_steps, c, h), mode)
+        shat, dec_cache = self.decode(zhat.reshape(batch * n_steps, c, h))
         return shat.reshape(batch, n_steps, self.config.dims, h), (rec_cache, dec_cache)
 
     # -- prediction and loss ----------------------------------------------
 
     def predict(self, segments: np.ndarray, horizons: np.ndarray | list[int]) -> np.ndarray:
-        """Decoded forward predictions for each step in ``horizons``, in eval
-        mode. Returns (B, n_horizons, d, H); horizon 0 is the plain
-        reconstruction."""
+        """A frozen model's decoded predictions for each step in ``horizons``,
+        (B, n_horizons, d, H); horizon 0 is the plain reconstruction."""
+        if not self.frozen:
+            raise ValueError("predict runs on a frozen model; call freeze() first")
         horizons = np.asarray(horizons)
         if np.any(horizons < 0):
             raise ValueError("horizons must be >= 0")
@@ -437,19 +446,18 @@ class FLDModel(BlockModel):
                          want_grads: bool = False, alpha: float | None = None
                          ) -> tuple[float, np.ndarray]:
         """Propagation loss sum_i alpha^i * MSE(decoded i-step prediction,
-        target i): ``analysis`` is what :meth:`analyze` returned, whose mode
-        the decoder runs in, or its (phi, f, a, b) alone, which counts as
-        eval; ``targets`` (B, N+1, d, H) holds each anchor's i-step future
-        segment in slot i. ``alpha`` overrides the config's decay. Returns
-        (total, per-horizon losses). ``want_grads`` also accumulates
-        parameter gradients and consumes the caches in ``analysis`` (a cache
-        feeds one backward); on an eval analysis it raises first."""
+        target i): ``analysis`` is what :meth:`analyze` returned, or its
+        (phi, f, a, b) alone; ``targets`` (B, N+1, d, H) holds each anchor's
+        i-step future segment in slot i. ``alpha`` overrides the config's
+        decay. Returns (total, per-horizon losses). ``want_grads`` also
+        accumulates parameter gradients and consumes the caches in
+        ``analysis`` (a cache feeds one backward); without caches it raises
+        first, and a frozen model raises "read-only" at the first update."""
         phi, f, amp, off = analysis[:4]
-        mode = analysis[4][2] if len(analysis) > 4 else "eval"
-        if want_grads and mode != "train":
-            raise ValueError(f"gradients need a train-mode analysis; {mode!r} is forward-only")
+        if want_grads and len(analysis) < 5:
+            raise ValueError("(phi, f, a, b) alone is forward-only; gradients need caches")
         batch, n_steps, d, h = targets.shape
-        shat, (rec_cache, dec_cache) = self.render(phi, f, amp, off, np.arange(n_steps), mode)
+        shat, (rec_cache, dec_cache) = self.render(phi, f, amp, off, np.arange(n_steps))
 
         # time-major (H, d, B, N+1), like shat, which nothing reads after this
         diff = np.empty((h, d, batch, n_steps))
@@ -460,7 +468,7 @@ class FLDModel(BlockModel):
         total = float(weights @ per_horizon)
 
         if want_grads:
-            enc_cache, par_cache, _ = analysis[4]
+            enc_cache, par_cache = analysis[4]
             grad_shat = diff  # built in place, in the order (scale * diff) * weights
             grad_shat *= 2.0 / (batch * d * h)
             grad_shat *= weights
@@ -477,15 +485,20 @@ class FLDModel(BlockModel):
                        anchor: np.ndarray | None = None) -> tuple[float, np.ndarray]:
         """:meth:`propagation_loss` of items (B, N+1, d, H) anchored at their
         analysed slot 0, or at ``anchor``; ``alpha`` and ``horizon`` override
-        the decay and the horizon (perfbench's oracle test checks them)."""
+        the decay and the horizon. ``mode`` stays only because perfbench
+        passes it: "train" runs this model, "eval" it frozen or a frozen copy,
+        so the caller's arrays and gradients never move."""
+        if mode not in ("train", "eval"):
+            raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
         items = np.asarray(items, dtype=np.float64)
         if items.ndim != 4:
             raise ValueError(f"expected items (batch, horizon+1, d, H), got {items.shape}")
         n = items.shape[1] - 1 if horizon is None else horizon
         if n + 1 > items.shape[1]:
             raise ValueError(f"horizon {n} exceeds the {items.shape[1] - 1} futures provided")
-        analysis = self.analyze(items[:, 0] if anchor is None else anchor, mode)
-        return self.propagation_loss(analysis, items[:, :n + 1], want_grads, alpha)
+        model = self if mode == "train" or self.frozen else copy.deepcopy(self).freeze()
+        analysis = model.analyze(items[:, 0] if anchor is None else anchor)
+        return model.propagation_loss(analysis, items[:, :n + 1], want_grads, alpha)
 
     @property
     def item_horizon(self) -> int:

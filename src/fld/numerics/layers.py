@@ -7,24 +7,23 @@ so each product of a convolution runs over all segments at once. Batch
 norm takes that layout only, a (B, C) batch as the (1, C, B) that
 :class:`PerChannelLinear` writes, with a fixed eps and momentum. Layers are
 stateless between calls except for their parameters (and batch-norm running
-statistics, which only a train-mode forward mutates, and the kernel blocks a
-convolution derives from immutable weights): ``forward`` returns
-``(output, cache)`` and ``backward`` accumulates parameter gradients and
-returns the input gradient. A cache feeds exactly one backward and is
-consumed by it: a convolution removes its input spectrum from the cache
-once dW has read it, and a second backward on that cache raises. The block
-walk in ``fld.model`` drops each batch-norm or activation cache once its
-backward has run. Callers own the optimizer state and the train/eval mode
-choice; eval mode is forward-only, and batch norm returns no cache there.
+statistics, which every forward moves, and the kernel blocks a convolution
+derives from immutable weights): ``forward`` returns ``(output, cache)``
+and ``backward`` accumulates parameter gradients and returns the input
+gradient. A cache feeds exactly one backward and is consumed by it: a
+convolution removes its input spectrum from the cache once dW has read it,
+and a second backward on that cache raises. The block walk in ``fld.model``
+drops each batch-norm or activation cache once its backward has run.
+Callers own the optimizer state. Batch norm is train-only: inference folds
+it into the layer before it (``fld.model.fold_batch_norm``).
 
 The per-element passes make only the full-size arrays their math needs and
 keep no buffer between calls. Batch norm in an activated block applies the
 block's ELU itself, over cache-sized slabs of its input, and writes the
-activated output over the conv output it consumes; in train mode it caches
-x_hat and its std only, and its backward recomputes ELU's derivative from
-them. Eval batch norm is one per-channel scale and shift. :func:`elu`, which
-caches its output, serves the blocks without batch norm: frozen models'
-folded blocks and the feed-forward baseline. A convolution is three real
+activated output over the conv output it consumes; it caches x_hat and its
+std only, and its backward recomputes ELU's derivative from them.
+:func:`elu`, which caches its output, serves the blocks without batch norm:
+frozen models' folded blocks and the MLP. A convolution is three real
 matrix products against cached DFT matrices; its kernel blocks stay out of
 its cache, and on the layer for immutable weights only (see :class:`Conv1d`).
 """
@@ -198,11 +197,10 @@ BN_SLAB_VALUES = 1 << 16
 
 
 def _slabs(x: np.ndarray) -> list[slice]:
-    """Row slices of a time-major (L, C, B) array, at most ``BN_SLAB_VALUES``
-    values or one row each; the first is the tallest, and there is one even
-    when L = 0."""
-    height = max(1, BN_SLAB_VALUES // max(x.shape[1] * x.shape[2], 1))
-    return [slice(t, t + height) for t in range(0, max(len(x), 1), height)]
+    """Row slices of a non-empty time-major (L, C, B) array, at most
+    ``BN_SLAB_VALUES`` values or one row each; the first is the tallest."""
+    height = max(1, BN_SLAB_VALUES // (x.shape[1] * x.shape[2]))
+    return [slice(t, t + height) for t in range(0, len(x), height)]
 
 
 class BatchNorm1d:
@@ -210,26 +208,24 @@ class BatchNorm1d:
     statistics over axes (0, 2), the fixed variance floor ``BN_EPS`` and
     running statistics that move by the fixed ``BN_MOMENTUM`` per batch.
 
-    ``forward(x, mode, activate=True)`` is the batch norm of an activated
-    block (see ``fld.model.blocks_forward``): it also applies that block's
-    ELU, in both modes, and writes the activated output over ``x``, the
-    conv output it consumes; :meth:`backward` then applies ELU's derivative
-    itself. Without ``activate`` the output is a fresh array.
+    Train-only: inference folds :meth:`eval_affine` into the layer before
+    (``fld.model.fold_batch_norm``). ``forward(x, activate=True)`` is the
+    batch norm of an activated block (see ``fld.model.blocks_forward``): it
+    also applies that block's ELU and writes the activated output over
+    ``x``, the conv output it consumes; :meth:`backward` then applies ELU's
+    derivative itself. Without ``activate`` the output is a fresh array.
 
-    Both modes and the backward run over slabs of time rows, each at most
+    The forward and the backward run over slabs of time rows, each at most
     ``BN_SLAB_VALUES`` values, so that a slab's per-element steps stay in
-    cache. Train mode uses biased batch variance for normalization, unbiased
-    for the running estimate, and rejects an input with fewer than two values
-    per channel (L * B < 2, where the statistics are degenerate). It reads
-    the input once for the statistics: each slab's mean and centred sum of
-    squares, then merged. One more sweep writes x_hat (a fresh array) and
-    the output. The cache holds x_hat and the batch std only: not the input,
-    and not the activated output, since the backward recomputes
-    ELU' = exp(min(gamma * x_hat + beta, 0)) slab by slab. Eval mode is
-    forward-only: it applies the running statistics as one per-channel scale
-    and shift, x * (gamma / std) + (beta - mean * gamma / std)
-    (``eval_affine``), and returns a None cache, so :meth:`backward` is the
-    train backward. Either mode raises on a non-finite value before ELU.
+    cache. The forward normalizes with the biased batch variance, moves the
+    running estimate by the unbiased one, and rejects an input with fewer
+    than two values per channel (L * B < 2, where the statistics are
+    degenerate). It reads the input once for the statistics: each slab's
+    mean and centred sum of squares, then merged. One more sweep writes
+    x_hat (a fresh array) and the output. The cache holds x_hat and the
+    batch std only: not the input, and not the activated output, since the
+    backward recomputes ELU' = exp(min(gamma * x_hat + beta, 0)) slab by
+    slab. The forward raises on a non-finite value before ELU.
     """
 
     def __init__(self, num_features: int, name: str):
@@ -248,51 +244,39 @@ class BatchNorm1d:
                 f"{self.name}.running_var": self.running_var}
 
     def eval_affine(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-channel (scale, shift) that eval mode applies: gamma / std
+        """Per-channel (scale, shift) of the running statistics: gamma / std
         and beta - mean * gamma / std."""
         scale = self.gamma.value / np.sqrt(self.running_var + BN_EPS)
         return scale, self.beta.value - self.running_mean * scale
 
-    def forward(self, x: np.ndarray, mode: str, activate: bool = False
-                ) -> tuple[np.ndarray, dict | None]:
+    def forward(self, x: np.ndarray, activate: bool = False) -> tuple[np.ndarray, dict]:
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 3 or x.shape[1] != self.num_features:
             raise ValueError(f"expected input (length, {self.num_features}, batch), got {x.shape}")
-        if mode not in ("train", "eval"):
-            raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
+        n = x.size // self.num_features
+        if n < 2:
+            raise ValueError("batch normalization needs >= 2 values per channel")
         slabs = _slabs(x)
         scratch = np.empty(x[slabs[0]].shape)  # one slab's temporary, reused
-        if mode == "train":
-            n = x.size // self.num_features
-            if n < 2:
-                raise ValueError("batch normalization needs >= 2 values per channel in train mode")
-            mean, var = self._moments(x, slabs, scratch)
-            self.running_mean *= 1.0 - BN_MOMENTUM
-            self.running_mean += BN_MOMENTUM * mean
-            self.running_var *= 1.0 - BN_MOMENTUM
-            self.running_var += BN_MOMENTUM * var * n / (n - 1)
-            std = np.sqrt(var + BN_EPS)
-            x_hat = np.empty(x.shape)
-        else:
-            scale, shift = self.eval_affine()
+        mean, var = self._moments(x, slabs, scratch)
+        self.running_mean *= 1.0 - BN_MOMENTUM
+        self.running_mean += BN_MOMENTUM * mean
+        self.running_var *= 1.0 - BN_MOMENTUM
+        self.running_var += BN_MOMENTUM * var * n / (n - 1)
+        std = np.sqrt(var + BN_EPS)
+        x_hat = np.empty(x.shape)
         y = x if activate else np.empty(x.shape)  # each slab is read before it is written
         for s in slabs:
             ys = y[s]
-            if mode == "train":
-                np.subtract(x[s], mean[:, None], out=x_hat[s])
-                x_hat[s] /= std[:, None]
-                np.multiply(x_hat[s], self.gamma.value[:, None], out=ys)
-                ys += self.beta.value[:, None]
-            else:
-                np.multiply(x[s], scale[:, None], out=ys)
-                ys += shift[:, None]
+            np.subtract(x[s], mean[:, None], out=x_hat[s])
+            x_hat[s] /= std[:, None]
+            np.multiply(x_hat[s], self.gamma.value[:, None], out=ys)
+            ys += self.beta.value[:, None]
             ensure_finite(ys, "batchnorm output")
             if activate:  # as elu() computes it: max(u, expm1(min(u, 0)))
                 u_neg = np.minimum(ys, 0.0, out=scratch[:len(ys)])
                 np.expm1(u_neg, out=u_neg)
                 np.maximum(ys, u_neg, out=ys)
-        if mode == "eval":
-            return y, None
         return y, {"x_hat": x_hat, "std": std, "activated": activate}
 
     def _moments(self, x: np.ndarray, slabs: list[slice], scratch: np.ndarray
@@ -315,9 +299,7 @@ class BatchNorm1d:
         m2 = np.sum(squares, axis=0) + (n * shares * (means - mean) ** 2).sum(axis=0)
         return mean, m2 / n
 
-    def backward(self, g: np.ndarray, cache: dict | None) -> np.ndarray:
-        if cache is None:
-            raise ValueError(f"{self.name}: eval mode is forward-only and has no backward")
+    def backward(self, g: np.ndarray, cache: dict) -> np.ndarray:
         x_hat, std = cache["x_hat"], cache["std"]
         slabs = _slabs(x_hat)
         # first sweep: dx holds the gradient at batch norm's output, through

@@ -40,8 +40,8 @@ class Trajectory:
         self.frames = np.asarray(self.frames, dtype=np.float64)
         if self.frames.ndim != 2:
             raise ValueError(f"frames must be (n, d), got shape {self.frames.shape}")
-        if not self.dt > 0:  # NaN fails too
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        if not 0 < self.dt < np.inf:  # NaN fails too
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not np.all(np.isfinite(self.frames)):
             raise ValueError("trajectory contains non-finite values")
 
@@ -252,6 +252,8 @@ def split_corpus(trajectories: list[Trajectory], train_fraction: float = 0.8,
     training windows. Keeps at least one trajectory on the training side."""
     if not trajectories:
         raise ValueError("empty corpus")
+    if not 0 < train_fraction <= 1:  # NaN fails too
+        raise ValueError(f"train_fraction must be in (0, 1], got {train_fraction!r}")
     order = np.random.default_rng(seed).permutation(len(trajectories))
     n_train = max(1, int(round(train_fraction * len(trajectories))))
     train = [trajectories[i] for i in order[:n_train]]

@@ -170,8 +170,7 @@ def evaluate_prediction(checkpoints: dict[str, ModelCheckpoint],
     held-out trajectory. Anchors are subsampled every ``anchor_stride``
     frames; predictions and targets are compared in normalized space. Every
     model runs frozen (:meth:`~fld.model.BlockModel.freeze`), as every entry
-    point does; fld and pae errors then match the unfrozen model's to rounding.
-    Group errors use ``EVAL_GROUPS_27`` for 27-dim models, none otherwise."""
+    point does. Group errors use ``EVAL_GROUPS_27`` for 27-dim models, none otherwise."""
     horizons = np.asarray(sorted(int(h) for h in horizons))
     if horizons.size == 0 or horizons[0] < 0:
         raise ValueError("need at least one non-negative horizon")

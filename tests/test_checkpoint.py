@@ -17,6 +17,7 @@ from fld.checkpoint import (
 from fld.model import FFBaseline, FFConfig, FLDConfig, FLDModel
 from fld.numerics import Adam
 from fld.signals import NormalizationStats
+from unfolded import unfold_batch_norm
 
 
 def make_checkpoint(seed=0, **overrides):
@@ -111,9 +112,9 @@ def test_build_model_reproduces_forward(tmp_path):
     ckpt, model = make_checkpoint(seed=3)
     path = tmp_path / "m.ckpt"
     save_checkpoint(ckpt, path)
-    rebuilt = build_model(load_checkpoint(path))
+    rebuilt = build_model(load_checkpoint(path)).freeze()
     x = np.random.default_rng(1).normal(size=(2, 3, 9))
-    a = model.predict(x, [0, 1])
+    a = model.freeze().predict(x, [0, 1])
     b = rebuilt.predict(x, [0, 1])
     assert np.array_equal(a, b)
 
@@ -130,9 +131,9 @@ def test_final_activation_output_block_round_trips(tmp_path):
     model.state_arrays()["dec.bn2.gamma"][...] = 50.0  # outputs well below -1 before ELU
     path = tmp_path / "m.ckpt"
     save_checkpoint(checkpoint_from_model(model, "fld", ckpt.normalization, 4, 1), path)
-    rebuilt = build_model(load_checkpoint(path))
+    rebuilt = build_model(load_checkpoint(path)).freeze()
     x = rng.normal(size=(2, 3, 9))
-    out = model.predict(x, [0, 2])
+    out = model.freeze().predict(x, [0, 2])
     assert np.array_equal(out, rebuilt.predict(x, [0, 2]))
     assert -1.0 < out.min() < -0.5  # the output block ends in ELU
 
@@ -151,9 +152,12 @@ def assert_close(got, want, rtol=1e-12):
 
 
 @pytest.mark.parametrize("final_activation", [False, True])
-def test_frozen_model_agrees_with_build_model(final_activation):
+def test_frozen_model_agrees_with_build_model(final_activation, monkeypatch):
     ckpt = moved_checkpoint(final_activation)
-    plain, frozen = build_model(ckpt), build_fld_model(ckpt, "a test")
+    frozen = build_fld_model(ckpt, "a test")
+    # the reference: the checkpoint's model, frozen with its batch norms unfolded
+    monkeypatch.setattr("fld.model.fold_batch_norm", unfold_batch_norm)
+    plain = build_model(ckpt).freeze()
     items = np.random.default_rng(7).normal(size=(3, 3, 3, 9))
     want, got = plain.analyze(items[:, 0]), frozen.analyze(items[:, 0])
     for g, w in zip(got[:4], want[:4]):
@@ -183,8 +187,8 @@ def test_frozen_model_is_immutable_and_refuses_training():
     # no gradient can accumulate
     with pytest.raises(ValueError, match="read-only"):
         frozen.loss_and_grads(items, mode="train")
-    # eval mode is forward-only, and no optimizer can move the weights
-    with pytest.raises(ValueError, match="forward-only"):
+    # nor in eval mode, and no optimizer can move the weights
+    with pytest.raises(ValueError, match="read-only"):
         frozen.loss_and_grads(items, mode="eval")
     with pytest.raises(ValueError, match="read-only"):
         Adam(frozen.parameters(), lr=1e-3).step()
@@ -346,6 +350,7 @@ MALFORMED_HEADERS = {
     "ff dt 0": ("ff", _edit("config", "dt", value=0.0)),
     "ff second hidden width 0": ("ff", _edit("config", "hidden", value=[4, 0])),
     "fld NaN dt": ("fld", _edit("config", "dt", value=float("nan"))),
+    "fld infinite dt": ("fld", _edit("config", "dt", value=float("inf"))),
     "ff NaN hidden width": ("ff", _edit("config", "hidden", value=[float("nan")])),
     "window NaN": ("fld", _edit("config", "window", value=float("nan"))),
     "horizon NaN": ("fld", _edit("config", "horizon", value=float("nan"))),

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from fld.checkpoint import build_fld_model, build_model
+from fld.checkpoint import build_fld_model
 from fld.dynamics import (
     GateConfig,
     GateRunner,
@@ -271,7 +271,7 @@ def test_runner_raises_a_warm_up_overflow_when_its_segment_completes(fld_checkpo
 
 
 def test_fallback_stream_is_the_synthesis_rollout(fld_checkpoint):
-    model = build_model(fld_checkpoint)
+    model = build_fld_model(fld_checkpoint, "a test")
     data = corpus(1)[0].frames
     start = encode_state(model, fld_checkpoint.normalization.apply(data[:16]).T)
     runner = GateRunner(fld_checkpoint, GateConfig(epsilon=1e-300))
@@ -312,7 +312,7 @@ def test_runner_emits_no_input_during_warm_up_and_after_gap(fld_checkpoint):
 
 
 def test_synthesize_matches_iterated_propagation(fld_checkpoint):
-    model = build_model(fld_checkpoint)
+    model = build_fld_model(fld_checkpoint, "a test")
     segment = fld_checkpoint.normalization.apply(corpus(1)[0].frames[:16]).T
     state = encode_state(model, segment)
     rolled = synthesize(fld_checkpoint, state, 25).frames
@@ -326,6 +326,23 @@ def test_synthesize_matches_iterated_propagation(fld_checkpoint):
 def random_state(rng, c=2, step=0):
     return LatentRollState(phi=rng.uniform(-0.5, 0.5, c), freq=rng.uniform(0.5, 3.0, c),
                            amp=rng.uniform(0.2, 1.5, c), offset=rng.normal(size=c), step=step)
+
+
+@pytest.mark.parametrize("shapes", [((8,), (4,), (4,), (4,)), ((4,), (4,), (4,), (3,)),
+                                    ((1, 4), (1, 4), (1, 4), (1, 4)), ((), (), (), ())])
+def test_latent_roll_state_needs_one_1d_shape(shapes):
+    arrays = [np.zeros(shape) for shape in shapes]
+    with pytest.raises(ValueError, match="must be 1-D of one shape"):
+        LatentRollState(*arrays)
+
+
+@pytest.mark.parametrize("steps", [2.5, True, 0, -1, np.float64(3.0)])
+def test_synthesize_takes_an_integer_step_count(fld_checkpoint, steps):
+    state = random_state(np.random.default_rng(9))
+    message = re.escape(f"steps must be an integer >= 1, got {steps!r}")
+    with pytest.raises(ValueError, match=message):
+        synthesize(fld_checkpoint, state, steps)
+    assert len(synthesize(fld_checkpoint, state, np.int64(2))) == 2
 
 
 def test_interpolate_theta_endpoints_and_phase_advance():
@@ -347,14 +364,16 @@ def test_interpolate_theta_endpoints_and_phase_advance():
 def test_interpolate_theta_rejects_bad_input():
     rng = np.random.default_rng(5)
     src = random_state(rng, 2)
-    with pytest.raises(ValueError, match="steps"):
-        interpolate_theta(src, random_state(rng, 2), 0, 0.02)
+    for steps in (0, 2.5, True):
+        message = re.escape(f"steps must be an integer >= 1, got {steps!r}")
+        with pytest.raises(ValueError, match=message):
+            interpolate_theta(src, random_state(rng, 2), steps, 0.02)
     with pytest.raises(ValueError, match="channel counts"):
         interpolate_theta(src, random_state(rng, 3), 4, 0.02)
 
 
 def test_propagation_is_a_grid_shift(fld_checkpoint):
-    model = build_model(fld_checkpoint)
+    model = build_fld_model(fld_checkpoint, "a test")
     state = random_state(np.random.default_rng(6))
     shifted, _ = model.render(state.phi, state.freq, state.amp, state.offset, [1])
     segment, _ = decode_state_frame(model, propagate(state, model.config.dt),
@@ -363,7 +382,7 @@ def test_propagation_is_a_grid_shift(fld_checkpoint):
 
 
 def test_gate_without_input_propagates_and_decodes(fld_checkpoint):
-    model = build_model(fld_checkpoint)
+    model = build_fld_model(fld_checkpoint, "a test")
     state = random_state(np.random.default_rng(7), step=3)
     decision = gate_step(None, None, state, GateConfig(epsilon=1.0), model,
                          fld_checkpoint.normalization)
@@ -378,7 +397,7 @@ def test_gate_without_input_propagates_and_decodes(fld_checkpoint):
 
 
 def test_gate_rejects_a_stack_of_the_wrong_length(fld_checkpoint):
-    model = build_model(fld_checkpoint)
+    model = build_fld_model(fld_checkpoint, "a test")
     n, window = model.config.horizon, model.config.window
     view = segment_view(fld_checkpoint.normalization.apply(corpus(1)[0].frames), window)
     state = random_state(np.random.default_rng(8))

@@ -14,7 +14,7 @@ from fld.model import (
     fold_batch_norm,
     wrap_phase,
 )
-from fld.numerics import Adam, BatchNorm1d, Conv1d, PerChannelLinear, elu_backward, layers
+from fld.numerics import Adam, BatchNorm1d, Conv1d, PerChannelLinear, elu, elu_backward, layers
 from fourier_oracles import naive_dft
 from gradcheck import gradient_check
 
@@ -132,17 +132,17 @@ class TestEncodeDecode:
 
     def test_deterministic_construction_and_forward(self):
         x = np.random.default_rng(5).normal(size=(2, 4, 16))
-        z1, _ = tiny_model(seed=9).encode(x, "eval")
-        z2, _ = tiny_model(seed=9).encode(x, "eval")
+        z1, _ = tiny_model(seed=9).freeze().encode(x)
+        z2, _ = tiny_model(seed=9).freeze().encode(x)
         assert np.array_equal(z1, z2)
 
     def test_eval_batch_consistency(self):
-        model = tiny_model()
+        model = tiny_model().freeze()
         x = np.random.default_rng(3).normal(size=(4, 16))
         seg = np.broadcast_to(x, (5, 4, 16))
-        z, _ = model.encode(seg, "eval")
+        z, _ = model.encode(seg)
         assert np.max(np.abs(z - z[0])) < 1e-12
-        s, _ = model.decode(np.random.default_rng(0).normal(size=(1, 2, 16)), "eval")
+        s, _ = model.decode(np.random.default_rng(0).normal(size=(1, 2, 16)))
         assert s.shape == (1, 4, 16)
 
 
@@ -154,11 +154,14 @@ def test_fold_batch_norm_matches_the_eval_block(layer):
     else:
         first, activated = Conv1d(3, 4, 5, rng, "c", bias=layer == "biased-conv"), True
     bn = BatchNorm1d(4, "bn")
-    bn.forward(rng.normal(loc=0.7, scale=2.0, size=(9, 4, 6)), "train")
+    bn.forward(rng.normal(loc=0.7, scale=2.0, size=(9, 4, 6)))
     bn.gamma.value[...] = rng.uniform(0.5, 2.0, 4)
     bn.beta.value[...] = rng.normal(size=4)
     x = rng.normal(size=(9, 2 if layer == "phase-head" else 3, 2))  # time-major (L, C, B)
-    want, _ = blocks_forward([(first, bn, activated)], x)
+    # the eval block: the layer, then the running statistics' scale and shift
+    scale, shift = bn.eval_affine()
+    want = first.forward(x)[0] * scale[:, None] + shift[:, None]
+    want = elu(want)[0] if activated else want
     folded = fold_batch_norm((first, bn, activated))
     assert folded[0] is first and folded[1:] == (None, activated) and first.bias.name == "c.bias"
     got, _ = blocks_forward([folded], x)
@@ -200,7 +203,7 @@ def consumption_order(blocks, caches):
 def test_decode_backward_frees_each_cache_once_consumed(final_activation, monkeypatch):
     model = tiny_model(final_activation=final_activation)
     rng = np.random.default_rng(11)
-    shat, (_, caches) = model.render(*rng.normal(size=(4, 3, 2)), [0, 1], mode="train")
+    shat, (_, caches) = model.render(*rng.normal(size=(4, 3, 2)), [0, 1])
     g = np.ones((shat.shape[0] * shat.shape[1],) + shat.shape[2:])
     consumed = consumption_order(model.decoder, caches)
     live_at_stage = []
@@ -233,7 +236,7 @@ def test_fused_block_gradients_match_finite_differences():
     x, weights = rng.normal(size=(7, 2, 3)), rng.normal(size=(7, 3, 3))
 
     def run(inputs):
-        out, caches = blocks_forward(block, inputs, "train")
+        out, caches = blocks_forward(block, inputs)
         return float(np.sum(out * weights)), blocks_backward(block, weights, caches)
 
     with mock.patch.object(layers, "BN_SLAB_VALUES", 2 * 3 * 3):
@@ -265,7 +268,7 @@ def test_train_render_caches_x_hat_and_spectra_but_no_activation(final_activatio
     model = tiny_model(final_activation=final_activation)
     cfg, batch, steps = model.config, 3, 4
     params = np.random.default_rng(15).normal(size=(4, batch, cfg.channels))
-    _, cache = model.render(*params, np.arange(steps), mode="train")
+    _, cache = model.render(*params, np.arange(steps))
     segments, h, f8 = batch * steps, cfg.window, 8
     bins = (h + (cfg.kernel - 1) // 2) // 2 + 1
     # reconstruction: sin and angle (H, c, B, N+1), amp (c, B), times (N+1, H)
@@ -281,7 +284,7 @@ def test_train_render_caches_x_hat_and_spectra_but_no_activation(final_activatio
 def test_blocks_backward_rejects_a_short_or_consumed_cache_list():
     model = tiny_model()
     z = np.random.default_rng(12).normal(size=(3, 2, 16))
-    out, caches = model.decode(z, "train")
+    out, caches = model.decode(z)
     with pytest.raises(ValueError, match="2 caches for 3 blocks"):
         model.decode_backward(np.ones_like(out), caches[:2])
     model.decode_backward(np.ones_like(out), caches)
@@ -292,7 +295,7 @@ def test_blocks_backward_rejects_a_short_or_consumed_cache_list():
 def test_propagation_loss_with_grads_consumes_the_analysis_caches():
     model = tiny_model()
     items = np.random.default_rng(13).normal(size=(3, 4, 4, 16))
-    analysis = model.analyze(items[:, 0], "train")
+    analysis = model.analyze(items[:, 0])
     enc_caches = analysis[4][0]
     model.propagation_loss(analysis, items, want_grads=True)
     assert enc_caches == []
@@ -306,19 +309,22 @@ def test_propagation_loss_renders_in_the_analysis_mode():
         return [a.copy() for _, bn, _ in model.decoder if bn is not None
                 for a in bn.state_arrays().values()]
 
-    # a train-mode analysis renders the decoder in train mode, even without
+    # an unfrozen model renders the decoder as it trains, even without
     # gradients: its batch norms move their running statistics
     before = decoder_stats()
-    model.propagation_loss(model.analyze(items[:, 0], "train"), items)
+    model.propagation_loss(model.analyze(items[:, 0]), items)
     assert not any(np.array_equal(a, b) for a, b in zip(before, decoder_stats()))
     assert not any(p.grad.any() for p in model.parameters())
-    # an eval-mode analysis renders in eval mode and leaves them bitwise alone
+    # an eval-mode loss scores a frozen copy and leaves them bitwise alone
     before = decoder_stats()
-    model.propagation_loss(model.analyze(items[:, 0], "eval"), items)
+    model.loss_and_grads(items, mode="eval", want_grads=False)
     assert all(np.array_equal(a, b) for a, b in zip(before, decoder_stats()))
-    # and its gradients are refused before any accumulates or any statistic moves
+    # and gradients of a cacheless analysis are refused before any
+    # accumulates or any statistic moves
+    analysis = model.analyze(items[:, 0])[:4]
+    before = decoder_stats()
     with pytest.raises(ValueError, match="forward-only"):
-        model.propagation_loss(model.analyze(items[:, 0], "eval"), items, want_grads=True)
+        model.propagation_loss(analysis, items, want_grads=True)
     assert all(np.array_equal(a, b) for a, b in zip(before, decoder_stats()))
     assert not any(p.grad.any() for p in model.parameters())
 
@@ -326,41 +332,70 @@ def test_propagation_loss_renders_in_the_analysis_mode():
 @pytest.mark.parametrize("frozen", [False, True], ids=["unfrozen", "frozen"])
 @pytest.mark.parametrize("entry", ["propagation_loss", "loss_and_grads"])
 def test_eval_gradients_are_refused_before_any_accumulates(frozen, entry):
+    # a frozen model's gradients are read-only; an unfrozen model refuses a
+    # cacheless analysis, and its eval-mode loss runs (and refuses) a frozen copy
     model = tiny_model()
     if frozen:
         model.freeze()
     items = np.random.default_rng(14).normal(size=(3, 4, 4, 16))
-    with pytest.raises(ValueError, match="forward-only"):
+    cacheless = entry == "propagation_loss" and not frozen
+    with pytest.raises(ValueError, match="forward-only" if cacheless else "read-only"):
         if entry == "propagation_loss":
-            model.propagation_loss(model.analyze(items[:, 0]), items, want_grads=True)
+            analysis = model.analyze(items[:, 0])
+            model.propagation_loss(analysis[:4] if cacheless else analysis, items,
+                                   want_grads=True)
         else:
             model.loss_and_grads(items, mode="eval")
     assert not any(p.grad.any() for p in model.parameters())
 
 
+def test_unfrozen_analyze_moves_running_statistics_and_frozen_holds_none():
+    model = tiny_model()
+    segments = np.random.default_rng(17).normal(size=(3, 4, 16))
+    before = {k: v.copy() for k, v in model.state_arrays().items()}
+    model.analyze(segments)
+    moved = [k for k, v in model.state_arrays().items() if not np.array_equal(v, before[k])]
+    # the encoder's and the phase head's; the decoder does not run
+    assert moved == [k for k in before if k.endswith((".running_mean", ".running_var"))
+                     and not k.startswith("dec.")]
+    assert "phase.bn.running_var" in moved
+    model.freeze()
+    assert not any("running" in k for k in model.state_arrays())
+    frozen = {k: v.copy() for k, v in model.state_arrays().items()}
+    model.analyze(segments[:1])  # a batch of one needs no batch statistics
+    assert all(np.array_equal(v, frozen[k]) for k, v in model.state_arrays().items())
+
+
+def test_predict_on_an_unfrozen_model_raises():
+    model, x = tiny_model(), np.random.default_rng(18).normal(size=(1, 4, 16))
+    with pytest.raises(ValueError, match=r"frozen model; call freeze\(\) first"):
+        model.predict(x, [0])
+    assert model.freeze().predict(x, [0]).shape == (1, 1, 4, 16)
+
+
 class TestPredict:
     def test_zero_step_equals_reconstruction_path(self):
-        model = tiny_model()
+        model = tiny_model().freeze()
         x = np.random.default_rng(7).normal(size=(3, 4, 16))
         pred = model.predict(x, [0])
-        z, _ = model.encode(x, "eval")
-        phi, f, a, b, _ = model.parameterize(z, "eval")
+        z, _ = model.encode(x)
+        phi, f, a, b, _ = model.parameterize(z)
         zhat, _ = model.reconstruct_latent(phi, f, a, b, np.array([0]))
-        manual, _ = model.decode(zhat.reshape(3, 2, 16), "eval")
+        manual, _ = model.decode(zhat.reshape(3, 2, 16))
         assert np.array_equal(pred[:, 0], manual)
 
     def test_one_step_equals_manual_phase_advance(self):
-        model = tiny_model()
+        model = tiny_model().freeze()
         x = np.random.default_rng(8).normal(size=(2, 4, 16))
         pred = model.predict(x, [1])
-        z, _ = model.encode(x, "eval")
-        phi, f, a, b, _ = model.parameterize(z, "eval")
+        z, _ = model.encode(x)
+        phi, f, a, b, _ = model.parameterize(z)
         zhat, _ = model.reconstruct_latent(phi + f * model.config.dt, f, a, b, np.array([0]))
-        manual, _ = model.decode(zhat.reshape(2, 2, 16), "eval")
+        manual, _ = model.decode(zhat.reshape(2, 2, 16))
         assert np.array_equal(pred[:, 0], manual)
 
     def test_zero_frequency_freezes_dynamics(self):
-        model = tiny_model()
+        model = tiny_model().freeze()
         rng = np.random.default_rng(4)
         phi = rng.uniform(-0.5, 0.5, (1, 2))
         a = rng.uniform(0.5, 1.0, (1, 2))
@@ -371,29 +406,32 @@ class TestPredict:
         # decoded one step at a time, at batch 1, the steps are equal bit
         # for bit; a batch of steps agrees to rounding only (see
         # test_batched_calls_match_per_segment_calls)
-        first, _ = model.decode(zhat[0, :1], "eval")
+        first, _ = model.decode(zhat[0, :1])
         for i in range(1, 5):
-            out, _ = model.decode(zhat[0, i:i + 1], "eval")
+            out, _ = model.decode(zhat[0, i:i + 1])
             assert np.array_equal(out, first)
 
     def test_negative_horizon_rejected(self):
         with pytest.raises(ValueError):
-            tiny_model().predict(np.zeros((1, 4, 16)), [-1])
+            tiny_model().freeze().predict(np.zeros((1, 4, 16)), [-1])
 
 
+# "eval": frozen after a training forward moved the running statistics off
+# their defaults, as a trained checkpoint's are; "frozen": at its defaults
 @pytest.mark.parametrize("mode", ["eval", "frozen"])
 def test_batched_calls_match_per_segment_calls(mode):
     # the batch axis is the networks' contiguous inner axis, where BLAS
     # may treat a segment's column with a different kernel than at batch 1
     model = tiny_model()
-    if mode == "frozen":
-        model.freeze()
     rng = np.random.default_rng(21)
     segments = rng.normal(size=(7, 4, 16))
     latent = rng.normal(size=(7, 2, 16))
+    if mode == "eval":
+        model.loss_and_grads(rng.normal(loc=0.5, size=(3, 4, 4, 16)), want_grads=False)
+    model.freeze()
     for net, batch in ((model.encode, segments), (model.decode, latent)):
-        batched, _ = net(batch, "eval")
-        single = np.concatenate([net(batch[i:i + 1], "eval")[0] for i in range(len(batch))])
+        batched, _ = net(batch)
+        single = np.concatenate([net(batch[i:i + 1])[0] for i in range(len(batch))])
         assert np.max(np.abs(batched - single)) <= 1e-14 * np.max(np.abs(single))
 
 
@@ -415,21 +453,21 @@ class TestLoss:
         model = tiny_model()
         items = self.make_items(model)
         total, per = model.loss_and_grads(items[:, :1], want_grads=False)
-        # value matches a hand MSE in train mode
+        # value matches a hand MSE of an unfrozen model, which trains
         assert per.size == 1
         model2 = tiny_model()
-        z, _ = model2.encode(items[:, 0], "train")
-        phi, f, a, b, _ = model2.parameterize(z, "train")
+        z, _ = model2.encode(items[:, 0])
+        phi, f, a, b, _ = model2.parameterize(z)
         zhat, _ = model2.reconstruct_latent(phi, f, a, b, np.array([0]))
-        shat, _ = model2.decode(zhat.reshape(items.shape[0], 2, 16), "train")
+        shat, _ = model2.decode(zhat.reshape(items.shape[0], 2, 16))
         manual = float(np.mean((shat - items[:, 0]) ** 2))
         assert abs(total - manual) < 1e-12
 
     def test_perfect_prediction_gives_zero(self):
-        model = tiny_model()
+        model = tiny_model().freeze()
         items = self.make_items(model, batch=2)
         pred = model.predict(items[:, 0], np.arange(model.config.horizon + 1))
-        # feed the model's own eval-mode outputs back as targets
+        # feed the frozen model's own outputs back as targets
         total, per = model.loss_and_grads(pred, mode="eval", want_grads=False,
                                           anchor=items[:, 0])
         assert total < 1e-20

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from fld.model import blocks_forward, fold_batch_norm
 from fld.numerics import (
     Adam,
     BatchNorm1d,
@@ -293,7 +294,7 @@ class TestBatchNorm1d:
         rng = np.random.default_rng(2)
         bn = BatchNorm1d(3, "bn")
         x = rng.normal(loc=2.0, scale=4.0, size=(8, 3, 10))
-        y, _ = bn.forward(x, mode="train")
+        y, _ = bn.forward(x)
         # gamma=1, beta=0: per-channel mean ~0, var ~1 (up to eps shrinkage)
         assert np.max(np.abs(y.mean(axis=(0, 2)))) < 1e-10
         assert np.max(np.abs(y.var(axis=(0, 2)) - 1.0)) < 1e-4
@@ -302,7 +303,7 @@ class TestBatchNorm1d:
         bn = BatchNorm1d(2, "bn")
         bn.gamma.value[:] = 0.0
         bn.beta.value[:] = [3.0, -1.0]
-        y, _ = bn.forward(np.random.default_rng(0).normal(size=(4, 2, 5)), mode="train")
+        y, _ = bn.forward(np.random.default_rng(0).normal(size=(4, 2, 5)))
         assert np.allclose(y[:, 0], 3.0) and np.allclose(y[:, 1], -1.0)
 
     def test_batch_of_one_rejected_in_train(self):
@@ -310,30 +311,42 @@ class TestBatchNorm1d:
         # is the phase head's batch of one
         bn = BatchNorm1d(2, "bn")
         with pytest.raises(ValueError, match=">= 2 values per channel"):
-            bn.forward(np.zeros((1, 2, 1)), mode="train")
+            bn.forward(np.zeros((1, 2, 1)))
         x = np.random.default_rng(1).normal(size=(1, 2, 5))
-        y, _ = bn.forward(x, mode="train")
+        y, _ = bn.forward(x)
         assert np.max(np.abs(y.mean(axis=(0, 2)))) < 1e-12
-        # eval mode is fine with a single item
-        bn.forward(np.zeros((1, 2, 1)), mode="eval")
+        # inference folds batch norm into the layer before, which is fine
+        # with a single item
+        head = PerChannelLinear(1, 1, 2, np.random.default_rng(2), "p")
+        layer, _, _ = fold_batch_norm((head, bn, False))
+        layer.forward(np.ones((1, 1, 1)))
 
     def test_two_dimensional_input_rejected(self):
         bn = BatchNorm1d(2, "bn")
-        for mode in ("train", "eval"):
-            with pytest.raises(ValueError, match=r"expected input \(length, 2, batch\)"):
-                bn.forward(np.zeros((6, 2)), mode=mode)
+        with pytest.raises(ValueError, match=r"expected input \(length, 2, batch\)"):
+            bn.forward(np.zeros((6, 2)))
 
     def test_eval_is_forward_only(self):
-        bn = BatchNorm1d(2, "bn")
+        # inference folds batch norm into the layer before: the block keeps no
+        # batch norm, applies eval_affine's scale and shift (to rounding, as
+        # the fold does), and with frozen weights refuses a backward before
+        # any gradient accumulates
+        rng = np.random.default_rng(3)
+        conv, bn = Conv1d(3, 2, 3, rng, "c", bias=False), BatchNorm1d(2, "bn")
         bn.running_mean[:] = [0.3, -0.2]
         bn.running_var[:] = [1.5, 0.6]
-        x = np.random.default_rng(3).normal(size=(4, 2, 5))
-        y, cache = bn.forward(x, mode="eval")
-        assert cache is None
+        x = rng.normal(size=(4, 3, 5))
         scale, shift = bn.eval_affine()
-        assert np.array_equal(y, x * scale[:, None] + shift[:, None])
-        with pytest.raises(ValueError, match="forward-only"):
-            bn.backward(np.ones_like(y), cache)
+        want = conv.forward(x)[0] * scale[:, None] + shift[:, None]
+        layer, folded_bn, _ = fold_batch_norm((conv, bn, False))
+        assert folded_bn is None
+        for p in layer.parameters():
+            p.value, p.grad = immutable(p.value), immutable(p.grad)
+        y, cache = layer.forward(x)
+        assert np.max(np.abs(y - want)) <= 1e-14 * np.max(np.abs(want))
+        with pytest.raises(ValueError, match="read-only"):
+            layer.backward(np.ones_like(y), cache)
+        assert not layer.weight.grad.any() and not layer.bias.grad.any()
         assert not bn.gamma.grad.any() and not bn.beta.grad.any()
 
     def test_running_stats_track_batches(self):
@@ -341,22 +354,23 @@ class TestBatchNorm1d:
         bn = BatchNorm1d(1, "bn")
         x = rng.normal(loc=5.0, size=(16, 1, 4))
         for _ in range(200):
-            bn.forward(x, mode="train")
+            bn.forward(x)
         assert abs(bn.running_mean[0] - x.mean()) < 1e-6
-        y, _ = bn.forward(x[:1], mode="eval")
+        scale, shift = bn.eval_affine()  # what inference folds in
+        y = x[:1] * scale[:, None] + shift[:, None]
         expected = (x[:1] - bn.running_mean) / np.sqrt(bn.running_var + BN_EPS)
         assert np.allclose(y, expected)
 
     def test_backward_matches_finite_differences(self):
-        self.check_backward_against_finite_differences("train", (4, 2, 8))
+        self.check_backward_against_finite_differences((4, 2, 8))
 
-    # (1, C, B) is the phase head's batch norm; eval mode has no backward
-    @pytest.mark.parametrize("mode,shape", [("train", (1, 2, 6))], ids=["train-phase-head"])
-    def test_backward_matches_finite_differences_by_mode_and_rank(self, mode, shape):
-        self.check_backward_against_finite_differences(mode, shape)
+    # (1, C, B) is the phase head's batch norm
+    @pytest.mark.parametrize("shape", [(1, 2, 6)], ids=["train-phase-head"])
+    def test_backward_matches_finite_differences_by_mode_and_rank(self, shape):
+        self.check_backward_against_finite_differences(shape)
 
     @staticmethod
-    def check_backward_against_finite_differences(mode, shape):
+    def check_backward_against_finite_differences(shape):
         rng = np.random.default_rng(8)
         x = rng.normal(size=shape)
         g = rng.normal(size=shape)
@@ -370,7 +384,7 @@ class TestBatchNorm1d:
             return b
 
         bn = fresh()
-        y, cache = bn.forward(x, mode=mode)
+        y, cache = bn.forward(x)
         dx = bn.backward(g, cache)
 
         eps = 1e-6
@@ -378,22 +392,22 @@ class TestBatchNorm1d:
         for i in idx:
             xp = x.copy(); xp.reshape(-1)[i] += eps
             xm = x.copy(); xm.reshape(-1)[i] -= eps
-            lp = np.sum(fresh().forward(xp, mode=mode)[0] * g)
-            lm = np.sum(fresh().forward(xm, mode=mode)[0] * g)
+            lp = np.sum(fresh().forward(xp)[0] * g)
+            lm = np.sum(fresh().forward(xm)[0] * g)
             numeric = (lp - lm) / (2 * eps)
             assert abs(dx.reshape(-1)[i] - numeric) < 1e-6 * max(1.0, abs(numeric))
         # parameter grads
         for param in ("gamma", "beta"):
             bnp = fresh()
-            _, c = bnp.forward(x, mode=mode)
+            _, c = bnp.forward(x)
             bnp.backward(g, c)
             analytic = getattr(bnp, param).grad
             for j in range(2):
                 bp = fresh(); bm = fresh()
                 getattr(bp, param).value[j] += eps
                 getattr(bm, param).value[j] -= eps
-                lp = np.sum(bp.forward(x, mode=mode)[0] * g)
-                lm = np.sum(bm.forward(x, mode=mode)[0] * g)
+                lp = np.sum(bp.forward(x)[0] * g)
+                lm = np.sum(bm.forward(x)[0] * g)
                 numeric = (lp - lm) / (2 * eps)
                 assert abs(analytic[j] - numeric) < 1e-6 * max(1.0, abs(numeric))
 
@@ -403,7 +417,7 @@ class TestBatchNorm1d:
         rng = np.random.default_rng(5)
         buffer = rng.normal(size=(4, 3, 12))
         x = buffer[:, :, :8]
-        _, cache = BatchNorm1d(3, "bn").forward(x, mode="train")
+        _, cache = BatchNorm1d(3, "bn").forward(x)
         arrays = [v for v in cache.values() if isinstance(v, np.ndarray)]
         assert arrays
         assert not any(np.shares_memory(a, buffer) for a in arrays)
@@ -433,30 +447,26 @@ class TestFusedBatchNormElu:
 
     @settings(max_examples=60)
     @given(length=st.integers(1, 9), channels=st.integers(1, 3), batch=st.integers(1, 4),
-           height=st.integers(1, 4), mode=st.sampled_from(["train", "eval"]),
-           seed=st.integers(0, 2 ** 16))
-    @example(length=1, channels=2, batch=2, height=3, mode="train", seed=0)  # L*B = 2
-    @example(length=2, channels=3, batch=1, height=4, mode="train", seed=1)  # L*B = 2
-    @example(length=7, channels=2, batch=3, height=3, mode="train", seed=2)  # 7 = 3 + 3 + 1
-    @example(length=5, channels=1, batch=2, height=2, mode="eval", seed=3)
-    def test_matches_the_unfused_composition(self, length, channels, batch, height, mode, seed):
-        assume(mode == "eval" or length * batch >= 2)
+           height=st.integers(1, 4), seed=st.integers(0, 2 ** 16))
+    @example(length=1, channels=2, batch=2, height=3, seed=0)  # L*B = 2
+    @example(length=2, channels=3, batch=1, height=4, seed=1)  # L*B = 2
+    @example(length=7, channels=2, batch=3, height=3, seed=2)  # 7 = 3 + 3 + 1
+    @example(length=5, channels=1, batch=2, height=2, seed=3)
+    def test_matches_the_unfused_composition(self, length, channels, batch, height, seed):
+        assume(length * batch >= 2)
         rng = np.random.default_rng(seed)
         x = rng.normal(loc=0.4, scale=1.7, size=(length, channels, batch))
         g = rng.normal(size=x.shape)
         fused, plain = self.twins(channels, rng)
         buffer = x.copy()
         with slab_rows(height, channels, batch):
-            normed, c_bn = plain.forward(x, mode)
+            normed, c_bn = plain.forward(x)
             want, c_act = elu(normed)
-            got, cache = fused.forward(buffer, mode, activate=True)
+            got, cache = fused.forward(buffer, activate=True)
             # same slabs and steps, so the forward is bitwise the composition's
             assert got is buffer and got.tobytes() == want.tobytes()
             assert np.array_equal(fused.running_mean, plain.running_mean)
             assert np.array_equal(fused.running_var, plain.running_var)
-            if mode == "eval":
-                assert cache is None
-                return
             assert sorted(cache) == ["activated", "std", "x_hat"]
             dx = fused.backward(g, cache)
             want_dx = plain.backward(elu_backward(g, c_act), c_bn)
@@ -472,12 +482,22 @@ class TestFusedBatchNormElu:
     @pytest.mark.parametrize("mode", ["train", "eval"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_input_raises(self, mode, bad):
-        # -inf would leave ELU as -1, so the check runs before ELU
-        x = np.random.default_rng(6).normal(size=(5, 2, 3))
+        # -inf would leave ELU as -1, so the check runs before ELU: in batch
+        # norm's sweep when training, and in the layer that inference folds
+        # batch norm into ("eval")
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=(5, 2, 3))
         x[3, 1, 2] = bad
         with slab_rows(1, 2, 3), np.errstate(invalid="ignore"):
-            with pytest.raises(FloatingPointError, match="non-finite values in batchnorm output"):
-                BatchNorm1d(2, "bn").forward(x, mode, activate=True)
+            if mode == "train":
+                with pytest.raises(FloatingPointError,
+                                   match="non-finite values in batchnorm output"):
+                    BatchNorm1d(2, "bn").forward(x, activate=True)
+            else:
+                conv = Conv1d(2, 2, 3, rng, "c", bias=False)
+                block = fold_batch_norm((conv, BatchNorm1d(2, "bn"), True))
+                with pytest.raises(FloatingPointError, match="non-finite values in conv1d output"):
+                    blocks_forward([block], x)
 
 
 class TestLinear:

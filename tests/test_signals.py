@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -66,7 +68,8 @@ class TestLoadCsv:
             load_csv(p, d=2, dt=float("nan"))
 
 
-@pytest.mark.parametrize("dt", [float("nan"), 0.0, -0.02])
+# an infinite dt would make the Nyquist frequency 0 and clip every latent frequency
+@pytest.mark.parametrize("dt", [float("nan"), 0.0, -0.02, float("inf")])
 def test_trajectory_rejects_a_dt_that_is_not_positive(dt):
     with pytest.raises(ValueError, match="dt must be positive"):
         Trajectory(np.zeros((3, 2)), dt=dt)
@@ -243,3 +246,12 @@ def test_split_is_disjoint_and_seeded():
     assert [t.frames[0, 0] for t in tr1] == [t.frames[0, 0] for t in tr2]
     ids = {t.frames[0, 0] for t in tr1} | {t.frames[0, 0] for t in va1}
     assert len(ids) == 10
+    assert [len(part) for part in split_corpus(trajs, 1.0)] == [10, 0]
+
+
+@pytest.mark.parametrize("fraction", [1.5, -0.5, float("nan"), 0.0])
+def test_split_rejects_a_train_fraction_outside_zero_to_one(fraction):
+    trajs = [Trajectory(np.zeros((5, 1)) + i) for i in range(4)]
+    with pytest.raises(ValueError,
+                       match=re.escape(f"train_fraction must be in (0, 1], got {fraction!r}")):
+        split_corpus(trajs, fraction)

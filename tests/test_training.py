@@ -20,6 +20,7 @@ from fld.training import (
     relative_error,
     train,
 )
+from unfolded import unfold_batch_norm
 
 TINY = dict(dims=3, channels=2, window=16, horizon=3, dt=0.02, hidden=8)
 
@@ -228,8 +229,8 @@ class TestEvaluatePrediction:
         monkeypatch.setattr(FLDModel, "freeze", counted_freeze)
         got = evaluate_prediction(ckpts, corpus[0], [0, 1, 3], anchor_stride=4)
         assert frozen == [TINY["horizon"], 0]
-        # the same evaluation on the unfrozen models
-        monkeypatch.setattr(FLDModel, "freeze", lambda model: model)
+        # the same evaluation with the batch norms unfolded
+        monkeypatch.setattr("fld.model.fold_batch_norm", unfold_batch_norm)
         want = evaluate_prediction(ckpts, corpus[0], [0, 1, 3], anchor_stride=4)
         assert np.array_equal(got.errors["ff"], want.errors["ff"])
         for name in ("fld", "pae"):
@@ -323,7 +324,7 @@ class TestManifoldAndConstancy:
         corpus = [long_a, Trajectory(long_a.frames[:12]), long_b]
         result = train("fld", tiny_corpus(), tiny_train_config(iters=3), FLDConfig(**TINY))
         report = quasi_constancy_report(result.checkpoint, corpus, anchor_stride=5)
-        model = build_model(result.checkpoint)
+        model = build_model(result.checkpoint).freeze()
         params = []
         for traj in (long_a, long_b):
             normed = result.checkpoint.normalization.apply(traj.frames)
