@@ -18,9 +18,12 @@ step ``gate_step`` receives the item and its analyses, or None while the
 window is not full (warm-up, or after a gap). With an item it scores the
 oldest analysis and either takes the state from the newest (accepted) or
 propagates the latent dynamics (rejected); with None it always propagates
-(no input). The emitted frame is always decoded from the resulting state,
-so under fallback the emitted stream is the synthesis rollout of the
-propagated state, to rounding.
+(no input). The emitted frame is always decoded from the resulting state
+by a one-step render, so under fallback the emitted stream is the synthesis
+rollout of the propagated state to rounding, not bitwise: synthesis renders
+all its steps in one batch, and more than 2c+1 steps on the sinusoid basis
+(``FLDModel.render``), as the gate's and calibration's anchored losses
+render their N+1 steps.
 """
 
 from __future__ import annotations
@@ -39,7 +42,8 @@ from .stats import quantile_midpoint
 
 @dataclass
 class LatentRollState:
-    """Phase (cycles, wrapped) plus the frozen parameterization of a roll."""
+    """Phase (cycles, wrapped) plus the frozen parameterization of a roll:
+    finite 1-D arrays of one shape, and an integer step >= 0."""
 
     phi: np.ndarray        # (c,)
     freq: np.ndarray       # (c,) Hz
@@ -48,12 +52,16 @@ class LatentRollState:
     step: int = 0
 
     def __post_init__(self):
-        self.phi = wrap_phase(self.phi)
-        self.freq, self.amp, self.offset = (np.asarray(a, dtype=np.float64)
-                                            for a in (self.freq, self.amp, self.offset))
-        shapes = [a.shape for a in (self.phi, self.freq, self.amp, self.offset)]
-        if len(set(shapes)) != 1 or self.phi.ndim != 1:
+        arrays = [np.asarray(a, dtype=np.float64)
+                  for a in (self.phi, self.freq, self.amp, self.offset)]
+        shapes = [a.shape for a in arrays]
+        if len(set(shapes)) != 1 or len(shapes[0]) != 1:
             raise ValueError(f"phi, freq, amp and offset must be 1-D of one shape, got {shapes}")
+        for name, a in zip(("phi", "freq", "amp", "offset"), arrays):
+            if not np.isfinite(a).all():
+                raise ValueError(f"{name} must be finite, got {a!r}")
+        self.phi, self.freq, self.amp, self.offset = wrap_phase(arrays[0]), *arrays[1:]
+        self.step = as_int("step", self.step, 0)
 
 
 def propagate(state: LatentRollState, dt: float) -> LatentRollState:
@@ -86,8 +94,9 @@ def synthesize(checkpoint: ModelCheckpoint, state: LatentRollState,
     The parameterization is constant along the roll, so all steps are
     rendered as one batch of step offsets 0..steps-1. Per-step decoding
     agrees to rounding (about 1e-15), not bitwise: the phase is not wrapped
-    between steps, and batches of different sizes take different BLAS
-    kernels. ``steps`` is an integer >= 1.
+    between steps, batches of different sizes take different BLAS kernels,
+    and more than 2c+1 steps run decoder block 0 on the sinusoid basis.
+    ``steps`` is an integer >= 1.
     """
     steps = as_int("steps", steps, 1)
     model = build_fld_model(checkpoint, "synthesis")
@@ -102,9 +111,12 @@ def interpolate_theta(src: LatentRollState, dst: LatentRollState, steps: int,
 
     Returns states 0..steps with blend factor k/steps; phase starts at the
     source and advances by the blended frequency at each step, so the
-    transition stays temporally coherent.
+    transition stays temporally coherent. ``steps`` is an integer >= 1, and
+    0 < dt < inf.
     """
     steps = as_int("steps", steps, 1)
+    if not 0 < dt < np.inf:  # NaN fails too
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
     if src.freq.shape != dst.freq.shape:
         raise ValueError("parameterizations have different channel counts")
     out = []

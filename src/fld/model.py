@@ -12,6 +12,11 @@ Conventions
 * A model's state selects its forward pass, and no call takes a mode: an
   unfrozen model trains its batch norms, and a frozen one
   (:meth:`BlockModel.freeze`) has them folded away and infers.
+* A frozen model's render of more than 2c+1 steps runs decoder block 0 on
+  the 2c+1 sinusoid basis columns of each anchor (:meth:`FLDModel.render`),
+  and agrees with reconstructing and decoding every step to rounding. Every
+  other render reconstructs, then decodes, so training, one-step renders
+  and renders of at most 2c+1 steps are bitwise what that path gives.
 * A segment is (d, H) with columns oldest to newest; batches are (B, d, H).
   The encoder and decoder run time-major, on (H, C, B), the transpose
   ``.T`` of a segment batch: ``encode``, ``decode`` and their backwards take
@@ -45,6 +50,7 @@ from .numerics import (
     atan2_phase_backward,
     elu,
     elu_backward,
+    ensure_finite,
     immutable,
     rfft,
     rfft_backward,
@@ -423,17 +429,62 @@ class FLDModel(BlockModel):
                ) -> tuple[np.ndarray, tuple]:
         """Decoded segments of a parameterization advanced by each step i in
         ``steps``: (shat (B, n_steps, d, H), (reconstruct cache, decode cache)).
-        Accepts one (c,) parameterization as a batch of one."""
-        zhat, rec_cache = self.reconstruct_latent(phi, freq, amp, offset, steps)
-        batch, n_steps, c, h = zhat.shape
-        shat, dec_cache = self.decode(zhat.reshape(batch * n_steps, c, h))
-        return shat.reshape(batch, n_steps, self.config.dims, h), (rec_cache, dec_cache)
+        Accepts one (c,) parameterization as a batch of one.
+
+        A frozen model rendering more than 2c+1 steps runs decoder block 0 on
+        the sinusoid basis, which block 0's conv, linear up to its bias, maps
+        term by term: a*sin(w + theta_i) + b = cos(theta_i) a*sin(w) +
+        sin(theta_i) a*cos(w) + b, with w = 2*pi*f*T and theta_i =
+        2*pi*(phi + i*(f*dt)), the phase advance of :meth:`reconstruct_latent`.
+        The conv's products run on each anchor's 2c+1 basis columns, one
+        matmul per anchor combines them into its n_steps inputs to block 0's
+        bias and ELU, and the later blocks run as :meth:`decode` runs them.
+        That agrees with reconstructing and decoding to rounding (about 1e-15
+        relative), and returns no reconstruct cache and no block-0 cache,
+        which only a backward reads. Unfrozen renders, and renders of at most
+        2c+1 steps, reconstruct, then decode."""
+        c = self.config.channels
+        if not (self.frozen and len(steps) > 2 * c + 1):
+            zhat, rec_cache = self.reconstruct_latent(phi, freq, amp, offset, steps)
+            batch, n_steps, c, h = zhat.shape
+            shat, dec_cache = self.decode(zhat.reshape(batch * n_steps, c, h))
+            return shat.reshape(batch, n_steps, self.config.dims, h), (rec_cache, dec_cache)
+        phi, freq, amp, offset = (np.atleast_2d(np.asarray(v, dtype=np.float64))
+                                  for v in (phi, freq, amp, offset))  # (B, c)
+        batch, n_steps, h, k = len(freq), len(steps), self.config.window, 2 * c + 1
+        # the basis columns of anchor b, (H, c) each, as (H, c, B, 2c+1)
+        wave = 2.0 * np.pi * (freq.T[:, None, :] * self.config.time_grid[:, None])  # (c, H, B)
+        basis = np.zeros((h, c, batch, k))
+        channel = np.arange(c)
+        basis[:, channel, :, channel] = amp.T[:, None, :] * np.sin(wave)
+        basis[:, channel, :, c + channel] = amp.T[:, None, :] * np.cos(wave)
+        basis[:, :, :, 2 * c] = offset.T
+        theta = 2.0 * np.pi * (phi[:, :, None] + np.asarray(steps, dtype=np.float64)
+                               * (freq * self.config.dt)[:, :, None])  # (B, c, n_steps)
+        coeff = np.ones((batch, k, n_steps))
+        np.cos(theta, out=coeff[:, :c])
+        np.sin(theta, out=coeff[:, c:2 * c])
+        conv = self.decoder[0][0]
+        products = conv.products(basis.reshape(h, c, batch * k))[0]
+        products = products.reshape(h * conv.out_channels, batch, k)
+        # block 0's input, time-major (H, O, B n_steps) with segments anchor-major
+        x = np.empty((h * conv.out_channels, batch, n_steps))
+        np.matmul(products.transpose(1, 0, 2), coeff, out=x.transpose(1, 0, 2))
+        x = x.reshape(h, conv.out_channels, batch * n_steps)
+        x += conv.bias.value[:, None]
+        x, _ = elu(ensure_finite(x, "conv1d output"))
+        shat, dec_cache = blocks_forward(self.decoder[1:], x)
+        return (shat.T.reshape(batch, n_steps, self.config.dims, h),
+                (None, [(None, None)] + dec_cache))
 
     # -- prediction and loss ----------------------------------------------
 
     def predict(self, segments: np.ndarray, horizons: np.ndarray | list[int]) -> np.ndarray:
         """A frozen model's decoded predictions for each step in ``horizons``,
-        (B, n_horizons, d, H); horizon 0 is the plain reconstruction."""
+        (B, n_horizons, d, H); horizon 0 is the plain reconstruction. More
+        than 2c+1 horizons render on the sinusoid basis (:meth:`render`), so
+        they agree with the same horizons predicted a few at a time to
+        rounding, not bitwise."""
         if not self.frozen:
             raise ValueError("predict runs on a frozen model; call freeze() first")
         horizons = np.asarray(horizons)

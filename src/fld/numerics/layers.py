@@ -137,7 +137,9 @@ class Conv1d:
         self._blocks = (length, w, blocks) if isinstance(w.base, bytes) else None
         return blocks
 
-    def forward(self, x: np.ndarray) -> tuple[np.ndarray, dict]:
+    def products(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The forward's three products, without the bias or the finiteness
+        check: (cross-correlation (L, O, B), input spectrum (bins, 2I, B))."""
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 3 or x.shape[1] != self.in_channels:
             raise ValueError(f"expected input (length, {self.in_channels}, batch), got {x.shape}")
@@ -149,10 +151,14 @@ class Conv1d:
         x_spec = (forward_dft @ x.reshape(length, -1)).reshape(bins, -1, batch)
         y_spec = np.matmul(blocks.transpose(0, 2, 1), x_spec)
         y = (inverse_dft.T @ y_spec.reshape(2 * bins, -1)).reshape(length, -1, batch)
+        return y, x_spec
+
+    def forward(self, x: np.ndarray) -> tuple[np.ndarray, dict]:
+        y, x_spec = self.products(x)
         if self.bias is not None:
             y += self.bias.value[:, None]
         ensure_finite(y, "conv1d output")
-        return y, {"x_spec": x_spec, "length": length}
+        return y, {"x_spec": x_spec, "length": len(y)}
 
     def backward(self, g: np.ndarray, cache: dict) -> np.ndarray:
         if "x_spec" not in cache:

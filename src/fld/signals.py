@@ -19,6 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .model import as_int
+
 # Default 27-dim state layout (base velocities, projected gravity, joint
 # positions): index ranges per group used by evaluation reports.
 EVAL_GROUPS_27 = {
@@ -190,8 +192,7 @@ class ItemPool:
 
     def strided(self, anchor_stride: int) -> np.ndarray:
         """Ids of the items whose first frame is a multiple of ``anchor_stride``."""
-        if anchor_stride < 1:
-            raise ValueError(f"anchor_stride must be >= 1, got {anchor_stride}")
+        anchor_stride = as_int("anchor_stride", anchor_stride, 1)
         return np.flatnonzero(self.anchors[:, 1] % anchor_stride == 0)
 
     def item(self, k: int) -> np.ndarray:

@@ -56,6 +56,12 @@ def fld_checkpoint():
 
 
 @pytest.fixture(scope="module")
+def fld_basis_checkpoint():
+    # N + 1 = 6 > 2c + 1 = 5: the anchored loss renders on the sinusoid basis
+    return train("fld", corpus(), train_config(), FLDConfig(**{**TINY, "horizon": 5})).checkpoint
+
+
+@pytest.fixture(scope="module")
 def ff_checkpoint():
     return train("ff", corpus(), train_config(),
                  FFConfig(dims=3, window=16, hidden=(16, 8))).checkpoint
@@ -123,29 +129,49 @@ def test_quantile_midpoint(values, q, want):
     assert quantile_midpoint(np.array(values), q) == want
 
 
-def test_calibrated_epsilon_is_quantile_of_strided_anchor_losses(fld_checkpoint):
+def assert_epsilon_is_quantile_of_strided_anchor_losses(checkpoint):
     data = corpus(frames=90)
-    gate = calibrate_threshold(fld_checkpoint, data, quantile=0.9, anchor_stride=4)
-    model = build_fld_model(fld_checkpoint, "gate calibration")
+    gate = calibrate_threshold(checkpoint, data, quantile=0.9, anchor_stride=4)
+    model = build_fld_model(checkpoint, "gate calibration")
     n, window = model.config.horizon, model.config.window
     losses = []
     for traj in data:
-        view = segment_view(fld_checkpoint.normalization.apply(traj.frames), window)
+        view = segment_view(checkpoint.normalization.apply(traj.frames), window)
         losses += [anchored_gate_loss(model, view[wi:wi + n + 1])
                    for wi in range(0, view.shape[0] - n, 4)]
     assert gate.anchor_count == len(losses)
     assert gate.epsilon == quantile_midpoint(np.array(losses), 0.9)
 
 
-@pytest.mark.parametrize("entry", [
+def test_calibrated_epsilon_is_quantile_of_strided_anchor_losses(fld_checkpoint):
+    assert_epsilon_is_quantile_of_strided_anchor_losses(fld_checkpoint)
+
+
+def test_calibrated_epsilon_on_the_sinusoid_basis(fld_basis_checkpoint):
+    assert_epsilon_is_quantile_of_strided_anchor_losses(fld_basis_checkpoint)
+
+
+STRIDED_ENTRIES = pytest.mark.parametrize("entry", [
     lambda ck, s: calibrate_threshold(ck, corpus(), anchor_stride=s),
     lambda ck, s: evaluate_prediction({"fld": ck}, corpus(1)[0], [0, 1], anchor_stride=s),
     lambda ck, s: export_latent_manifold(ck, corpus(), anchor_stride=s),
     lambda ck, s: quasi_constancy_report(ck, corpus(), anchor_stride=s),
 ], ids=["calibration", "prediction", "manifold", "quasi-constancy"])
+
+
+@STRIDED_ENTRIES
 @pytest.mark.parametrize("stride", [0, -2])
 def test_anchor_stride_below_one_rejected(fld_checkpoint, entry, stride):
-    with pytest.raises(ValueError, match=f"^anchor_stride must be >= 1, got {stride}$"):
+    with pytest.raises(ValueError, match=f"^anchor_stride must be an integer >= 1, got {stride}$"):
+        entry(fld_checkpoint, stride)
+
+
+@STRIDED_ENTRIES
+@pytest.mark.parametrize("stride", [2.5, True, np.float64(5.0)])
+def test_anchor_stride_must_be_an_integer(fld_checkpoint, entry, stride):
+    # 2.5 used to stride like 5, and True like 1
+    message = re.escape(f"anchor_stride must be an integer >= 1, got {stride!r}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
         entry(fld_checkpoint, stride)
 
 
@@ -155,11 +181,11 @@ def test_calibration_rejects_a_corpus_without_a_full_item(fld_checkpoint):
         calibrate_threshold(fld_checkpoint, corpus(frames=18))
 
 
-def test_gate_scores_exactly_the_calibration_item(fld_checkpoint):
-    runner = GateRunner(fld_checkpoint, GateConfig(epsilon=float("inf")))
+def assert_gate_scores_exactly_the_calibration_item(checkpoint):
+    runner = GateRunner(checkpoint, GateConfig(epsilon=float("inf")))
     cfg = runner.model.config
     frames = corpus(1, frames=40)[0].frames
-    pool = ItemPool([fld_checkpoint.normalization.apply(frames)], cfg.window, cfg.horizon)
+    pool = ItemPool([checkpoint.normalization.apply(frames)], cfg.window, cfg.horizon)
     scored = [(t, d) for t, d in enumerate(map(runner.step, frames)) if d.loss is not None]
     assert [t for t, _ in scored] == list(range(cfg.window + cfg.horizon - 1, len(frames)))
     for t, decision in scored:
@@ -170,6 +196,14 @@ def test_gate_scores_exactly_the_calibration_item(fld_checkpoint):
         want = encode_state(runner.model, pool.item(k)[-1])
         for key in ("phi", "freq", "amp", "offset"):
             assert getattr(decision.state, key).tobytes() == getattr(want, key).tobytes()
+
+
+def test_gate_scores_exactly_the_calibration_item(fld_checkpoint):
+    assert_gate_scores_exactly_the_calibration_item(fld_checkpoint)
+
+
+def test_gate_scores_exactly_the_calibration_item_on_the_sinusoid_basis(fld_basis_checkpoint):
+    assert_gate_scores_exactly_the_calibration_item(fld_basis_checkpoint)
 
 
 def test_gate_model_parameters_cannot_be_written(fld_checkpoint):
@@ -336,6 +370,23 @@ def test_latent_roll_state_needs_one_1d_shape(shapes):
         LatentRollState(*arrays)
 
 
+@pytest.mark.parametrize("field", ["phi", "freq", "amp", "offset"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_latent_roll_state_rejects_non_finite_values(field, value):
+    # a NaN freq used to pass, and propagate then made a NaN phase
+    arrays = dict(zip(("phi", "freq", "amp", "offset"), np.ones((4, 3))))
+    arrays[field][1] = value
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        LatentRollState(**arrays)
+
+
+@pytest.mark.parametrize("step", [2.5, True, -1, np.float64(1.0)])
+def test_latent_roll_state_takes_an_integer_step(step):
+    with pytest.raises(ValueError, match=re.escape(f"step must be an integer >= 0, got {step!r}")):
+        LatentRollState(*np.zeros((4, 2)), step=step)
+    assert type(LatentRollState(*np.zeros((4, 2)), step=np.int64(3)).step) is int
+
+
 @pytest.mark.parametrize("steps", [2.5, True, 0, -1, np.float64(3.0)])
 def test_synthesize_takes_an_integer_step_count(fld_checkpoint, steps):
     state = random_state(np.random.default_rng(9))
@@ -370,6 +421,10 @@ def test_interpolate_theta_rejects_bad_input():
             interpolate_theta(src, random_state(rng, 2), steps, 0.02)
     with pytest.raises(ValueError, match="channel counts"):
         interpolate_theta(src, random_state(rng, 3), 4, 0.02)
+    for dt in (np.inf, 0.0, -0.02, np.nan):  # inf used to return states
+        with pytest.raises(ValueError, match=re.escape(
+                f"dt must be positive and finite, got {dt!r}")):
+            interpolate_theta(src, random_state(rng, 2), 4, dt)
 
 
 def test_propagation_is_a_grid_shift(fld_checkpoint):

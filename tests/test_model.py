@@ -3,6 +3,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fld.model import (
     FFBaseline,
@@ -414,6 +416,73 @@ class TestPredict:
     def test_negative_horizon_rejected(self):
         with pytest.raises(ValueError):
             tiny_model().freeze().predict(np.zeros((1, 4, 16)), [-1])
+
+
+def basis_model(seed, **overrides):
+    """A frozen tiny model whose folded biases are not zero: a training
+    forward first moves its running statistics off their defaults."""
+    model = tiny_model(seed, dims=3, hidden=4, **overrides)
+    cfg = model.config
+    items = np.random.default_rng(seed).normal(
+        loc=0.3, size=(3, cfg.horizon + 1, cfg.dims, cfg.window))
+    model.loss_and_grads(items, want_grads=False)
+    return model.freeze()
+
+
+def latent_params(rng, model, batch):
+    c = model.config.channels
+    return (rng.uniform(-0.5, 0.5, (batch, c)), rng.uniform(0.0, model.config.nyquist, (batch, c)),
+            rng.uniform(0.0, 2.0, (batch, c)), rng.normal(size=(batch, c)))
+
+
+def block_walk(model, params, steps):
+    """The reconstruct-then-decode render, as every render ran before the basis."""
+    zhat, _ = model.reconstruct_latent(*params, steps)
+    batch, n, c, h = zhat.shape
+    return model.decode(zhat.reshape(batch * n, c, h))[0].reshape(batch, n, model.config.dims, h)
+
+
+@settings(max_examples=40)
+@given(channels=st.integers(1, 3), window=st.integers(9, 17), batch=st.integers(1, 3),
+       final_activation=st.booleans(), seed=st.integers(0, 2**31), data=st.data())
+def test_frozen_render_on_the_sinusoid_basis_matches_the_block_walk(
+        channels, window, batch, final_activation, seed, data):
+    k = 2 * channels + 1
+    steps = data.draw(st.lists(st.integers(0, 3 * k), min_size=k + 1, max_size=3 * k))
+    model = basis_model(seed, channels=channels, window=window,
+                        final_activation=final_activation)
+    params = latent_params(np.random.default_rng(seed), model, batch)
+    got, (rec_cache, _) = model.render(*params, steps)
+    want = block_walk(model, params, steps)
+    assert rec_cache is None  # the basis path: no reconstruction ran
+    assert got.shape == want.shape == (batch, len(steps), 3, window)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_render_takes_the_basis_above_2c_plus_1_steps_on_a_frozen_model_only():
+    model = basis_model(3, channels=2)
+    params = latent_params(np.random.default_rng(3), model, 2)
+    # at 2c + 1 = 5 steps the render is the block walk, bit for bit
+    shat, (rec_cache, _) = model.render(*params, np.arange(5))
+    assert rec_cache is not None
+    assert np.array_equal(shat, block_walk(model, params, np.arange(5)))
+    # at 6 it takes the basis, and agrees to rounding
+    shat, (rec_cache, dec_cache) = model.render(*params, np.arange(6))
+    assert rec_cache is None and dec_cache[0] == (None, None)
+    want = block_walk(model, params, np.arange(6))
+    assert np.max(np.abs(shat - want)) <= 1e-12 * np.max(np.abs(want))
+    # an unfrozen model always walks the blocks
+    unfrozen = tiny_model(3, dims=3, hidden=4, channels=2)
+    assert unfrozen.render(*params, np.arange(6))[1][0] is not None
+
+
+def test_basis_render_refuses_gradients_before_any_accumulates():
+    model = basis_model(4, channels=1, horizon=5)
+    items = np.random.default_rng(4).normal(size=(2, 6, 3, 16))
+    analysis = model.analyze(items[:, 0])
+    with pytest.raises(ValueError, match="read-only"):
+        model.propagation_loss(analysis, items, want_grads=True)
+    assert not any(p.grad.any() for p in model.parameters())
 
 
 # "eval": frozen after a training forward moved the running statistics off

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fld.numerics import rfft, rfft_backward
-from fourier_oracles import naive_dft, rfft_adjoint, spectrum_inner
+from fourier_oracles import _full_spectrum_weights, naive_dft, rfft_adjoint, spectrum_inner
 
 
 def spectrum(x):
@@ -105,3 +105,36 @@ def test_backward_matches_finite_differences():
         xm = x.copy(); xm[t] -= eps
         numeric = (loss(xp) - loss(xm)) / (2 * eps)
         assert abs(analytic[t] - numeric) < 1e-6
+
+
+shapes = st.tuples(st.lists(st.integers(1, 4), max_size=3), st.integers(2, 64))
+
+
+@settings(max_examples=40)
+@given(shape=shapes, seed=st.integers(0, 2**31))
+def test_rfft_matches_the_naive_dft_on_any_shape(shape, seed):
+    lead, h = shape
+    x = np.random.default_rng(seed).normal(size=(*lead, h))
+    re, im = rfft(x)
+    assert re.shape == im.shape == (*lead, h // 2 + 1)
+    want = naive_dft(x)
+    bound = 1e-12 * h * max(1.0, np.max(np.abs(x)))
+    assert np.max(np.abs(re - want.real)) <= bound
+    assert np.max(np.abs(im - want.imag)) <= bound
+
+
+@settings(max_examples=40)
+@given(shape=shapes, seed=st.integers(0, 2**31))
+def test_rfft_backward_is_the_transpose_and_a_weighted_adjoint_on_any_shape(shape, seed):
+    lead, h = shape
+    rng = np.random.default_rng(seed)
+    gr, gi = rng.normal(size=(2, *lead, h // 2 + 1))
+    got = rfft_backward(gr, gi, h)
+    assert got.shape == (*lead, h)
+    basis = naive_dft(np.eye(h))  # row t holds exp(-2i*pi*j*t/H) over bins j
+    bound = 1e-12 * h * max(1.0, np.max(np.abs(gr)), np.max(np.abs(gi)))
+    assert np.max(np.abs(got - (gr @ basis.real.T + gi @ basis.imag.T))) <= bound
+    # weighting each bin as the full-spectrum inner product does gives the adjoint
+    w = _full_spectrum_weights(h)
+    adjoint = rfft_adjoint((gr + 1j * gi).reshape(-1, h // 2 + 1), h).reshape(got.shape)
+    assert np.max(np.abs(rfft_backward(w * gr, w * gi, h) - adjoint)) <= 2 * bound

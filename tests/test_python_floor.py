@@ -13,7 +13,7 @@ ROOT = Path(__file__).resolve().parents[1]
 def test_every_file_parses_at_the_declared_python_floor():
     pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
     minor = int(re.search(r'requires-python = ">=3\.(\d+)"', pyproject).group(1))
-    files = sorted(path for part in ("src", "tests", "perfbench")
+    files = sorted(path for part in ("src", "tests", "perfbench", "tools")
                    for path in (ROOT / part).rglob("*.py"))
     assert len(files) > 20
     failures = []

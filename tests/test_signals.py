@@ -145,7 +145,7 @@ class TestWindowing:
     def test_stride_counts_from_each_trajectory_start(self):
         pool = ItemPool([self.make(12).frames, self.make(3).frames, self.make(9).frames], 5, 0)
         assert pool.anchors[pool.strided(3)].tolist() == [[0, 0], [0, 3], [0, 6], [1, 0], [1, 3]]
-        with pytest.raises(ValueError, match="^anchor_stride must be >= 1, got 0$"):
+        with pytest.raises(ValueError, match="^anchor_stride must be an integer >= 1, got 0$"):
             pool.strided(0)
 
     @settings(max_examples=25, deadline=None)
